@@ -1,12 +1,10 @@
-"""Level scanners for the exhaustive oracles.
+"""Level scanner for the exhaustive oracles.
 
 A "level" is the set of labeled graphs on n vertices with a fixed edge count
 m.  The scanner enumerates the smaller of the present/missing edge sides as
 d-subsets of the M = C(n,2) edge slots in Gosper (colex-ascending) order and
 tests each graph against copy-count constraints, optionally plus
-non-bipartiteness.  Two interchangeable backends: a numba kernel for M <= 62
-and a pure-Python twin (any M, and the reference in tests).  Both implement
-the identical enumeration order, so "first feasible" is backend-independent.
+non-bipartiteness.
 
 Scan modes: stop at the first feasible graph, or sweep the whole level
 keeping the feasible graph whose bit-reversed edge mask is smallest (that is
@@ -17,279 +15,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# graphs between deadline checks: about 50 ms of scanning
+POLL_EVERY = 1 << 16
 
 
-STATUS_EXHAUSTED = 0
-STATUS_FOUND = 1
-STATUS_LIMIT = 2
-
-
-@dataclass
-class ConstraintPack:
-    """Flattened copy-count constraints for the kernels."""
-
-    pl_flat: np.ndarray  # uint64 placements, all constraints concatenated
-    pl_off: np.ndarray  # int64 offsets, len = n_constraints + 1
-    allow_flat: np.ndarray  # int64 allowed counts, concatenated, each sorted
-    allow_off: np.ndarray
-    allow_max: np.ndarray  # int64 per-constraint max allowed count
-    placements_py: list[tuple[int, ...]]  # same data for the Python twin
-    allowed_py: list[frozenset[int]]
-
-
-def pack_constraints(constraints: list[tuple[tuple[int, ...], set[int]]]) -> ConstraintPack:
-    """constraints: list of (placement masks, allowed count set)."""
-    pl_flat: list[int] = []
-    pl_off = [0]
-    allow_flat: list[int] = []
-    allow_off = [0]
-    allow_max = []
-    placements_py = []
-    allowed_py = []
+def pack_constraints(
+    constraints: list[tuple[tuple[int, ...], set[int]]],
+) -> list[tuple[tuple[int, ...], frozenset[int], int]]:
+    """(placement masks, allowed count set) pairs -> (masks, allowed, max allowed)."""
+    packed = []
     for placements, allowed in constraints:
         if not allowed:
             raise ValueError("empty allowed-count set")
         if min(allowed) < 0:
             raise ValueError("copy counts are non-negative")
-        pl_flat.extend(placements)
-        pl_off.append(len(pl_flat))
-        srt = sorted(allowed)
-        allow_flat.extend(srt)
-        allow_off.append(len(allow_flat))
-        allow_max.append(srt[-1])
-        placements_py.append(tuple(placements))
-        allowed_py.append(frozenset(allowed))
-    return ConstraintPack(
-        pl_flat=np.array(pl_flat, dtype=np.uint64),
-        pl_off=np.array(pl_off, dtype=np.int64),
-        allow_flat=np.array(allow_flat, dtype=np.int64),
-        allow_off=np.array(allow_off, dtype=np.int64),
-        allow_max=np.array(allow_max, dtype=np.int64),
-        placements_py=placements_py,
-        allowed_py=allowed_py,
-    )
+        packed.append((tuple(placements), frozenset(allowed), max(allowed)))
+    return packed
 
 
-@njit(cache=True)
-def _kernel(
-    m_slots,
-    d,
-    use_complement,
-    c_start,
-    started,
-    limit,
-    pl_flat,
-    pl_off,
-    allow_flat,
-    allow_off,
-    allow_max,
-    require_nonbip,
-    slot_u,
-    slot_v,
-    n_vertices,
-    collect_min,
-    have_best_in,
-    best_rev_in,
-    best_mask_in,
-    adj,
-    color,
-    stack,
-):  # pragma: no cover - exercised via scan_level
-    one = np.uint64(1)
-    full = (one << np.uint64(m_slots)) - one if m_slots > 0 else np.uint64(0)
-    if d > 0:
-        last = ((one << np.uint64(d)) - one) << np.uint64(m_slots - d)
-    else:
-        last = np.uint64(0)
-    if started:
-        c = c_start
-    else:
-        c = (one << np.uint64(d)) - one if d > 0 else np.uint64(0)
-    n_cons = len(pl_off) - 1
-    explored = 0
-    have_best = have_best_in
-    best_rev = best_rev_in
-    best_mask = best_mask_in
-
-    while True:
-        if use_complement:
-            g = full ^ c
-        else:
-            g = c
-        explored += 1
-
-        feasible = True
-        for ci in range(n_cons):
-            cnt = 0
-            cap = allow_max[ci]
-            for j in range(pl_off[ci], pl_off[ci + 1]):
-                p = pl_flat[j]
-                if p & g == p:
-                    cnt += 1
-                    if cnt > cap:
-                        feasible = False
-                        break
-            if not feasible:
-                break
-            ok = False
-            for j in range(allow_off[ci], allow_off[ci + 1]):
-                if allow_flat[j] == cnt:
-                    ok = True
-                    break
-            if not ok:
-                feasible = False
-                break
-
-        if feasible and require_nonbip:
-            for v in range(n_vertices):
-                adj[v] = 0
-                color[v] = -1
-            for s in range(m_slots):
-                if g >> np.uint64(s) & one:
-                    u = slot_u[s]
-                    w = slot_v[s]
-                    adj[u] |= 1 << w
-                    adj[w] |= 1 << u
-            bip = True
-            for root in range(n_vertices):
-                if color[root] >= 0 or adj[root] == 0:
-                    continue
-                color[root] = 0
-                sp = 0
-                stack[sp] = root
-                sp += 1
-                while sp > 0 and bip:
-                    sp -= 1
-                    u = stack[sp]
-                    au = adj[u]
-                    cu = color[u]
-                    for w in range(n_vertices):
-                        if au >> w & 1:
-                            if color[w] < 0:
-                                color[w] = cu ^ 1
-                                stack[sp] = w
-                                sp += 1
-                            elif color[w] == cu:
-                                bip = False
-                                break
-                if not bip:
-                    break
-            feasible = not bip
-
-        if feasible:
-            if collect_min:
-                rev = np.uint64(0)
-                for s in range(m_slots):
-                    if g >> np.uint64(s) & one:
-                        rev |= one << np.uint64(m_slots - 1 - s)
-                if (not have_best) or rev < best_rev:
-                    have_best = True
-                    best_rev = rev
-                    best_mask = g
-            else:
-                return (
-                    STATUS_FOUND, c, g, explored, have_best, best_rev, best_mask,
-                )
-
-        if c == last:
-            return (
-                STATUS_EXHAUSTED, c, np.uint64(0), explored,
-                have_best, best_rev, best_mask,
-            )
-        lo = c & (np.uint64(0) - c)
-        lz = c + lo
-        c = lz | (((c ^ lz) >> np.uint64(2)) // lo)
-        if explored >= limit:
-            return (
-                STATUS_LIMIT, c, np.uint64(0), explored,
-                have_best, best_rev, best_mask,
-            )
-
-
-def _kernel_py(
-    m_slots,
-    d,
-    use_complement,
-    c_start,
-    started,
-    limit,
-    pack: ConstraintPack,
-    require_nonbip,
-    slot_u,
-    slot_v,
-    n_vertices,
-    collect_min,
-    have_best_in,
-    best_rev_in,
-    best_mask_in,
-):
-    """Pure-Python twin of _kernel; identical order and return convention."""
-    full = (1 << m_slots) - 1
-    last = ((1 << d) - 1) << (m_slots - d) if d > 0 else 0
-    c = c_start if started else ((1 << d) - 1 if d > 0 else 0)
-    explored = 0
-    have_best = have_best_in
-    best_rev = best_rev_in
-    best_mask = best_mask_in
-    constraints = list(zip(pack.placements_py, pack.allowed_py, pack.allow_max))
-
-    while True:
-        g = full ^ c if use_complement else c
-        explored += 1
-
-        feasible = True
-        for placements, allowed, cap in constraints:
-            cnt = 0
-            for p in placements:
-                if p & g == p:
-                    cnt += 1
-                    if cnt > cap:
-                        break
-            if cnt not in allowed:
-                feasible = False
-                break
-
-        if feasible and require_nonbip:
-            feasible = not _bipartite_py(g, m_slots, slot_u, slot_v, n_vertices)
-
-        if feasible:
-            if collect_min:
-                rev = _reverse_bits(g, m_slots)
-                if not have_best or rev < best_rev:
-                    have_best = True
-                    best_rev = rev
-                    best_mask = g
-            else:
-                return (STATUS_FOUND, c, g, explored, have_best, best_rev, best_mask)
-
-        if c == last:
-            return (
-                STATUS_EXHAUSTED, c, 0, explored, have_best, best_rev, best_mask,
-            )
-        lo = c & -c
-        lz = c + lo
-        c = lz | (((c ^ lz) >> 2) // lo)
-        if explored >= limit:
-            return (STATUS_LIMIT, c, 0, explored, have_best, best_rev, best_mask)
-
-
-def _bipartite_py(g: int, m_slots: int, slot_u, slot_v, n: int) -> bool:
+def _bipartite(g: int, m_slots: int, slot_u, slot_v, n: int) -> bool:
     adj = [0] * n
     gg = g
     while gg:
@@ -337,7 +81,7 @@ def scan_level(
     n: int,
     m_slots: int,
     m_edges: int,
-    pack: ConstraintPack,
+    constraints: list[tuple[tuple[int, ...], frozenset[int], int]],
     slot_u,
     slot_v,
     *,
@@ -345,85 +89,52 @@ def scan_level(
     collect_min: bool = False,
     deadline=None,
     clock=None,
-    chunk: int = 1 << 24,
-    force_python: bool = False,
 ) -> LevelResult:
-    """Scan one edge-count level; returns first or graph6-min feasible mask."""
+    """Scan one edge-count level; returns first or graph6-min feasible mask.
+
+    The deadline is polled every POLL_EVERY graphs.
+    """
     d_missing = m_slots - m_edges
     if d_missing <= m_edges:
         d, use_complement = d_missing, True
     else:
         d, use_complement = m_edges, False
-
-    use_numba = HAVE_NUMBA and m_slots <= 62 and not force_python
-    started = False
-    c = 0
+    full = (1 << m_slots) - 1
+    c = (1 << d) - 1
+    last = c << (m_slots - d)
     explored = 0
-    have_best = False
-    best_rev = 0
-    best_mask = 0
-    if use_numba:
-        adj = np.zeros(max(n, 1), dtype=np.int64)
-        color = np.zeros(max(n, 1), dtype=np.int64)
-        stack = np.zeros(max(n, 1), dtype=np.int64)
-        slot_u_arr = np.array(slot_u, dtype=np.int64) if m_slots else np.zeros(1, np.int64)
-        slot_v_arr = np.array(slot_v, dtype=np.int64) if m_slots else np.zeros(1, np.int64)
+    best_rev = best_mask = None
 
     while True:
-        if use_numba:
-            status, c_out, gmask, exp, have_best, best_rev, best_mask = _kernel(
-                m_slots,
-                d,
-                use_complement,
-                np.uint64(c),
-                started,
-                chunk,
-                pack.pl_flat,
-                pack.pl_off,
-                pack.allow_flat,
-                pack.allow_off,
-                pack.allow_max,
-                require_nonbip,
-                slot_u_arr,
-                slot_v_arr,
-                n,
-                collect_min,
-                have_best,
-                np.uint64(best_rev),
-                np.uint64(best_mask),
-                adj,
-                color,
-                stack,
-            )
-            c = int(c_out)
-            gmask = int(gmask)
-            best_rev = int(best_rev)
-            best_mask = int(best_mask)
-        else:
-            status, c, gmask, exp, have_best, best_rev, best_mask = _kernel_py(
-                m_slots,
-                d,
-                use_complement,
-                c,
-                started,
-                chunk,
-                pack,
-                require_nonbip,
-                slot_u,
-                slot_v,
-                n,
-                collect_min,
-                have_best,
-                best_rev,
-                best_mask,
-            )
-        explored += exp
-        started = True
-        if status == STATUS_FOUND:
-            return LevelResult(True, gmask, explored, False)
-        if status == STATUS_EXHAUSTED:
-            if collect_min and have_best:
-                return LevelResult(True, best_mask, explored, False)
-            return LevelResult(False, None, explored, False)
-        if deadline is not None and clock() > deadline:
+        g = full ^ c if use_complement else c
+        explored += 1
+
+        feasible = True
+        for placements, allowed, cap in constraints:
+            cnt = 0
+            for p in placements:
+                if p & g == p:
+                    cnt += 1
+                    if cnt > cap:
+                        break
+            if cnt not in allowed:
+                feasible = False
+                break
+
+        if feasible and require_nonbip:
+            feasible = not _bipartite(g, m_slots, slot_u, slot_v, n)
+
+        if feasible:
+            if not collect_min:
+                return LevelResult(True, g, explored, False)
+            rev = _reverse_bits(g, m_slots)
+            if best_rev is None or rev < best_rev:
+                best_rev, best_mask = rev, g
+
+        if c == last:
+            return LevelResult(best_mask is not None, best_mask, explored, False)
+        lo = c & -c
+        lz = c + lo
+        c = lz | (((c ^ lz) >> 2) // lo)
+        if deadline is not None and explored % POLL_EVERY == 0 and clock() > deadline:
             return LevelResult(False, None, explored, True)

@@ -18,7 +18,7 @@ from turantools.constructions import (
     build_unique_kab,
 )
 from turantools.counting import count_copies, count_family
-from turantools.errors import UnsolvedError
+from turantools.errors import AdversaryError, UnsolvedError
 from turantools.families import parse_family
 from turantools.game import solve_L, solve_x, solve_x_prime, sweep_patterns
 from turantools.graphs import decode_graph6
@@ -60,8 +60,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help=argparse.SUPPRESS)
     sp.add_argument("--budget", type=float, default=argparse.SUPPRESS,
                     help=argparse.SUPPRESS)
-    sp.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                    help=argparse.SUPPRESS)
 
 
 def _build_parser() -> _Parser:
@@ -69,7 +67,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--json", action="store_true", help="emit one JSON document")
     p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
     p.add_argument("--budget", type=float, default=None, help="search budget, seconds")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled modes")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("count", help="count pattern copies in a host graph")
@@ -317,6 +314,10 @@ def main(argv=None) -> int:
     except UnsolvedError as exc:
         print(f"unsolved: {exc}", file=sys.stderr)
         return EXIT_UNSOLVED
+    except (AssertionError, AdversaryError) as exc:
+        # a witness failed its independent re-check, or a game went inconsistent
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

@@ -10,14 +10,13 @@ additionally every edge of it must have been asked).  Exact minimax values:
   x  - queries answered NO,
   x' - total queries with the checked endgame.
 
-States are (YES-mask, NO-mask) pairs memoized under an optional vertex-
-symmetry reduction; the reduction never changes values.
+The solver memoizes on the set of surviving placements, the only thing the
+values depend on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 
 from turantools.counting import count_copies
 from turantools.errors import AdversaryError, UnsolvedError
@@ -31,7 +30,7 @@ from turantools.graphs import (
     slot_pairs,
 )
 
-SOLVER_ORDER_CAP = 6
+SOLVER_ORDER_CAP = 7
 DEFAULT_STATE_CAP = 5_000_000
 
 
@@ -128,14 +127,18 @@ def adversary_no_first(state: GameState, query: Edge) -> bool:
 
 
 class _Solver:
-    """Memoized exact minimax over (YES-mask, NO-mask) states."""
+    """Memoized exact minimax over surviving sets of placements.
+
+    A surviving set S is an int bitset over indices into `masks`.  Every asked
+    pair lies in all or in none of the survivors, so L and x depend on S
+    alone; x' memoizes g(S) = x' + |YES|, which depends on S alone too.
+    """
 
     def __init__(
         self,
         n: int,
         fam: GraphFamily,
         cost: str,
-        symmetry: bool | None = None,
         state_cap: int = DEFAULT_STATE_CAP,
     ):
         if n > SOLVER_ORDER_CAP:
@@ -143,125 +146,86 @@ class _Solver:
         if cost not in ("L", "x", "xprime"):
             raise ValueError(f"unknown cost functional {cost!r}")
         self.n = n
-        self.fam = fam
         self.cost = cost
         self.masks = fam.placements(n)
         if not self.masks:
             raise ValueError("family has no placements at this order")
-        self.m_slots = pair_count(n)
         self.state_cap = state_cap
-        self.memo: dict[tuple[int, int], int] = {}
-        if symmetry is None:
-            symmetry = n >= 6
-        self.tables = self._symmetry_tables() if symmetry else None
+        # a YES costs one query in L; in x, and in g = x' + |YES|, it is free
+        self.cost_yes = 1 if cost == "L" else 0
+        # contains[s]: the placements that use slot s
+        self.contains = [
+            sum(1 << i for i, p in enumerate(self.masks) if p >> s & 1)
+            for s in range(pair_count(n))
+        ]
+        self.memo: dict[int, int] = {}
 
-    def _symmetry_tables(self) -> list[tuple[int, ...]]:
-        """Slot permutations induced by vertex permutations fixing the placement set."""
-        from turantools.graphs import slot_index
+    def _splits(self, S: int):
+        """(slot, YES survivors, NO survivors) for every informative slot."""
+        for s, c in enumerate(self.contains):
+            s_yes = S & c
+            if s_yes and s_yes != S:
+                yield s, s_yes, S ^ s_yes
 
-        idx = slot_index(self.n)
-        mask_set = frozenset(self.masks)
-        tables = []
-        for perm in permutations(range(self.n)):
-            table = tuple(
-                idx[tuple(sorted((perm[u], perm[v])))]
-                for u, v in slot_pairs(self.n)
-            )
-            if all(_remap(p, table) in mask_set for p in self.masks):
-                tables.append(table)
-        return tables
+    def _answer_value(self, s_yes: int, s_no: int) -> int:
+        return max(self.cost_yes + self.value(s_yes), 1 + self.value(s_no))
 
-    def _canon(self, yes: int, no: int) -> tuple[int, int]:
-        if not self.tables:
-            return (yes, no)
-        return min((_remap(yes, t), _remap(no, t)) for t in self.tables)
-
-    def value(self, yes: int = 0, no: int = 0) -> int:
-        key = self._canon(yes, no)
-        cached = self.memo.get(key)
+    def value(self, S: int) -> int:
+        """L or x of S, or g(S) = x' + |YES| for the checked variant."""
+        cached = self.memo.get(S)
         if cached is not None:
             return cached
         if len(self.memo) >= self.state_cap:
             raise UnsolvedError(f"state ceiling {self.state_cap} reached")
-        cons = _consistent_masks(self.masks, yes, no)
-        if not cons:
-            raise AdversaryError("unreachable inconsistent state")
-        if len(cons) == 1:
-            # checked endgame: the unasked edges of the survivor are forced
-            v = (cons[0] & ~yes).bit_count() if self.cost == "xprime" else 0
-            self.memo[key] = v
+        if S & (S - 1) == 0:
+            # a single survivor p: x' still has to ask the rest of p
+            p = self.masks[S.bit_length() - 1]
+            v = p.bit_count() if self.cost == "xprime" else 0
+            self.memo[S] = v
             return v
+        # each L answer at best halves the survivors
+        floor = (S.bit_count() - 1).bit_length() if self.cost == "L" else 0
         best = None
-        for s in self._informative(cons, yes | no):
-            b = 1 << s
-            v = self._answer_value(yes, no, b)
+        for _, s_yes, s_no in self._splits(S):
+            v = self._answer_value(s_yes, s_no)
             if best is None or v < best:
                 best = v
-        assert best is not None  # two placements always differ on an unasked pair
-        self.memo[key] = best
+                if v == floor:
+                    break
+        assert best is not None  # two placements always differ on some pair
+        self.memo[S] = best
         return best
 
-    def _answer_value(self, yes: int, no: int, b: int) -> int:
-        cost_yes = 0 if self.cost == "x" else 1
-        cost_no = 1
-        return max(
-            cost_yes + self.value(yes | b, no),
-            cost_no + self.value(yes, no | b),
-        )
-
-    def _informative(self, cons: list[int], asked: int):
-        inter = cons[0]
-        union = cons[0]
-        for p in cons[1:]:
-            inter &= p
-            union |= p
-        informative = union & ~inter & ~asked
-        out = []
-        m = informative
-        while m:
-            s = (m & -m).bit_length() - 1
-            out.append(s)
-            m &= m - 1
-        return out
+    def _optimal_slots(self, S: int):
+        target = self.value(S)
+        for s, s_yes, s_no in self._splits(S):
+            if self._answer_value(s_yes, s_no) == target:
+                yield s
 
     def solve(self) -> GameValue:
+        root = (1 << len(self.masks)) - 1
         try:
-            v = self.value(0, 0)
+            v = self.value(root)
         except UnsolvedError:
             return GameValue(None, (), len(self.memo), False)
         pairs = slot_pairs(self.n)
-        cons = _consistent_masks(self.masks, 0, 0)
-        moves = []
-        if len(cons) > 1:
-            for s in self._informative(cons, 0):
-                if self._answer_value(0, 0, 1 << s) == v:
-                    moves.append(pairs[s])
-        return GameValue(v, tuple(sorted(moves)), len(self.memo), True)
+        moves = tuple(sorted(pairs[s] for s in self._optimal_slots(root)))
+        return GameValue(v, moves, len(self.memo), True)
 
     def best_query(self, yes: int, no: int) -> int | None:
         """Lex-smallest optimal informative slot, None at terminal states."""
-        cons = _consistent_masks(self.masks, yes, no)
-        if len(cons) == 1:
+        S = sum(
+            1 << i for i, p in enumerate(self.masks) if p & no == 0 and yes & ~p == 0
+        )
+        if not S:
+            raise AdversaryError("no consistent placement remains")
+        if S & (S - 1) == 0:
             if self.cost == "xprime":
-                remaining = cons[0] & ~yes & ~no
+                remaining = self.masks[S.bit_length() - 1] & ~yes & ~no
                 if remaining:
                     return (remaining & -remaining).bit_length() - 1
             return None
-        target = self.value(yes, no)
-        for s in self._informative(cons, yes | no):
-            if self._answer_value(yes, no, 1 << s) == target:
-                return s
-        raise AssertionError("no optimal query found")
-
-
-def _remap(mask: int, table: tuple[int, ...]) -> int:
-    out = 0
-    m = mask
-    while m:
-        s = (m & -m).bit_length() - 1
-        out |= 1 << table[s]
-        m &= m - 1
-    return out
+        return next(self._optimal_slots(S))
 
 
 def solve_L(n: int, fam: GraphFamily, **kw) -> GameValue:

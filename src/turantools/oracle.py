@@ -72,7 +72,6 @@ def _search(
     lexmin_witness: bool = False,
     budget: float | None = None,
     allow_large: bool = False,
-    force_python: bool = False,
 ) -> OracleResult:
     """Max edge count over labeled graphs meeting every copy-count constraint."""
     _check_order(n, allow_large)
@@ -86,6 +85,8 @@ def _search(
 
     explored = 0
     for m_edges in range(m_slots, -1, -1):
+        if deadline is not None and time.monotonic() >= deadline:
+            return OracleResult(None, None, explored, time.monotonic() - t0, False)
         res = scan_level(
             n,
             m_slots,
@@ -97,7 +98,6 @@ def _search(
             collect_min=lexmin_witness,
             deadline=deadline,
             clock=time.monotonic,
-            force_python=force_python,
         )
         explored += res.explored
         if res.timed_out:
@@ -120,8 +120,8 @@ def max_edges_with(
 ) -> OracleResult:
     """Generic engine: max edges over all graphs on n vertices with pred(G) true.
 
-    Pure-Python reference path; the family oracles below use the compiled
-    scanner instead.  Same descending-level, first-feasible semantics.
+    Independent reference for the level scanner that the family oracles use:
+    the same descending-level, first-feasible semantics and Gosper order.
     """
     _check_order(n, allow_large)
     t0 = time.monotonic()

@@ -222,5 +222,4 @@ def mup_series_check(c: int, n_max: int) -> dict:
         "rows": rows,
         "divisor_property_all": all(r["divisor_ok"] for r in rows),
         "last_step_failure": last_bad,
-        "step_holds_beyond": last_bad,
     }

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from turantools import cli, oracle
 from turantools.graphs import complete_graph, encode_graph6
 
 K4_G6 = encode_graph6(complete_graph(4))
@@ -120,6 +121,20 @@ def test_budget_exhaustion_exit_2():
         ["oracle", "ex", "--n", "8", "--family", "clique:3", "--budget", "0"]
     )
     assert result.returncode == 2
+
+
+def test_failed_reverification_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "count_copies", lambda host, pattern: 99)
+    code = cli.main(["oracle", "exa", "--n", "4", "--k", "1", "--family", "clique:3"])
+    assert code == cli.EXIT_VERIFY_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("error: witness re-verification failed")
+    assert len(err.splitlines()) == 1
+
+
+def test_seed_flag_is_gone():
+    result = run_cli(["--seed", "1", "count", "--host", K4_G6, "--pattern", K3_G6])
+    assert result.returncode == 1
 
 
 def test_json_outputs_are_run_deterministic():

@@ -20,7 +20,7 @@ from turantools.game import (
     strategy_worst_case,
     sweep_patterns,
 )
-from turantools.graphs import complete_graph, make_graph
+from turantools.graphs import complete_graph, make_graph, slot_pairs
 from turantools.oracle import exa_oracle, exa_prime_oracle
 
 K3 = GraphFamily("clique:3")
@@ -112,15 +112,6 @@ def test_uniform_edge_identity():
         assert solve_x(n, fam).value + e == solve_x_prime(n, fam).value
 
 
-def test_symmetry_reduction_is_transparent():
-    for fam in (K3, STAR, TREES):
-        for cost_solve in (solve_L, solve_x, solve_x_prime):
-            plain = cost_solve(4, fam, symmetry=False)
-            reduced = cost_solve(4, fam, symmetry=True)
-            assert plain.value == reduced.value
-            assert plain.first_moves == reduced.first_moves
-
-
 def test_solver_deterministic():
     a = solve_L(4, TREES)
     b = solve_L(4, TREES)
@@ -129,7 +120,12 @@ def test_solver_deterministic():
 
 def test_solver_order_cap():
     with pytest.raises(ValueError, match="capped"):
-        solve_L(7, STAR)
+        solve_L(8, STAR)
+
+
+def test_solver_order_7_meets_the_exa1_bound():
+    # L(7, K3) equals C(7,2) - exa_1(7, K3), with exa_1(n, K3) = floor((n-1)^2/4) + 2
+    assert solve_L(7, K3).value == comb(7, 2) - ((7 - 1) ** 2 // 4 + 2)
 
 
 def test_state_ceiling_reports_unsolved():
@@ -224,34 +220,52 @@ def test_simulate_flags_bad_adversary():
         simulate(4, STAR, matching_first_questioner(4), stubborn_no)
 
 
-def test_solver_matches_unpruned_minimax():
-    # brute force without move skipping or endgame shortcuts, tiny instance
-    fam = K3
-    masks = fam.placements(4)
-    total = 6
+def _unpruned_minimax(n, fam, cost):
+    """Reference minimax over (YES, NO) states: every unasked pair is a move,
+    no endgame shortcut; returns the root value and the optimal first pairs."""
+    masks = fam.placements(n)
+    pairs = slot_pairs(n)
+    memo = {}
 
-    def value(yes, no, cost):
+    def move_value(yes, no, cons, b):
+        opts = []
+        if any(p & b for p in cons):
+            opts.append((0 if cost == "x" else 1) + value(yes | b, no))
+        if any(not (p & b) for p in cons):
+            opts.append(1 + value(yes, no | b))
+        return max(opts)
+
+    def value(yes, no):
+        if (yes, no) in memo:
+            return memo[yes, no]
         cons = [p for p in masks if p & no == 0 and yes & ~p == 0]
         if len(cons) == 1 and (cost != "xprime" or yes == cons[0]):
-            return 0
-        best = None
-        for s in range(total):
-            b = 1 << s
-            if (yes | no) & b:
-                continue
-            opts = []
-            if any(p & b for p in cons):
-                opts.append((0 if cost == "x" else 1) + value(yes | b, no, cost))
-            if any(not (p & b) for p in cons):
-                opts.append(1 + value(yes, no | b, cost))
-            v = max(opts)
-            if best is None or v < best:
-                best = v
+            best = 0
+        else:
+            best = min(
+                move_value(yes, no, cons, 1 << s)
+                for s in range(len(pairs))
+                if not (yes | no) >> s & 1
+            )
+        memo[yes, no] = best
         return best
 
-    assert value(0, 0, "L") == solve_L(4, fam).value
-    assert value(0, 0, "x") == solve_x(4, fam).value
-    assert value(0, 0, "xprime") == solve_x_prime(4, fam).value
+    root = value(0, 0)
+    moves = sorted(
+        pairs[s] for s in range(len(pairs)) if move_value(0, 0, masks, 1 << s) == root
+    )
+    return root, tuple(moves)
+
+
+def test_solver_matches_unpruned_minimax():
+    solvers = {"L": solve_L, "x": solve_x, "xprime": solve_x_prime}
+    grid = [(4, K3), (4, STAR), (4, TREES), (4, KMINUS)]
+    grid += [(5, STAR), (5, GraphFamily("hamcycle"))]
+    for n, fam in grid:
+        for cost, cost_solve in solvers.items():
+            res = cost_solve(n, fam)
+            want = _unpruned_minimax(n, fam, cost)
+            assert (res.value, res.first_moves) == want, (n, fam, cost)
 
 
 def test_sweep_smoke():
