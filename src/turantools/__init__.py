@@ -1,7 +1,7 @@
 """Exact desk-scale computations for extremal graph counts and edge-query games.
 
-Everything here is exhaustive and exact: brute-force maximizations over all
-labeled graphs on up to a word's worth of vertices, explicit extremal
+Everything here is exhaustive and exact: branch-and-bound maximizations over
+all labeled graphs on up to a word's worth of vertices, explicit extremal
 constructions with machine-checked contracts, unique-multiset-partition
 search, and a minimax solver for the Questioner/Adversary edge-query game.
 """

@@ -1,10 +1,15 @@
-"""Level scanner for the exhaustive oracles.
+"""Reference level scanner: the brute-force cross-check for the search engine.
 
 A "level" is the set of labeled graphs on n vertices with a fixed edge count
 m.  The scanner enumerates the smaller of the present/missing edge sides as
 d-subsets of the M = C(n,2) edge slots in Gosper (colex-ascending) order and
-tests each graph against copy-count constraints, optionally plus
-non-bipartiteness.
+tests each graph with a mask predicate.  `scan` walks the levels downward from
+M and stops at the first level holding a feasible graph, so it certifies a
+maximum by exhausting every denser level.
+
+No production search runs here: the oracles use the branch-and-bound engine in
+`_bnb`.  The scanner backs the predicate engine `oracle.max_edges_with` and the
+tests that check the engine against it.
 
 Scan modes: stop at the first feasible graph, or sweep the whole level
 keeping the feasible graph whose bit-reversed edge mask is smallest (that is
@@ -13,27 +18,17 @@ the graph6-lexicographically smallest witness).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
-# graphs between deadline checks: about 50 ms of scanning
-POLL_EVERY = 1 << 16
+from turantools.graphs import slot_pairs
+
+# graphs between deadline checks: `max_edges_with` predicates that count
+# copies cost about 0.15 ms a graph, so about 0.6 s between checks
+POLL_EVERY = 1 << 12
 
 
-def pack_constraints(
-    constraints: list[tuple[tuple[int, ...], set[int]]],
-) -> list[tuple[tuple[int, ...], frozenset[int], int]]:
-    """(placement masks, allowed count set) pairs -> (masks, allowed, max allowed)."""
-    packed = []
-    for placements, allowed in constraints:
-        if not allowed:
-            raise ValueError("empty allowed-count set")
-        if min(allowed) < 0:
-            raise ValueError("copy counts are non-negative")
-        packed.append((tuple(placements), frozenset(allowed), max(allowed)))
-    return packed
-
-
-def _bipartite(g: int, m_slots: int, slot_u, slot_v, n: int) -> bool:
+def _bipartite(g: int, slot_u, slot_v, n: int) -> bool:
     adj = [0] * n
     gg = g
     while gg:
@@ -61,6 +56,31 @@ def _bipartite(g: int, m_slots: int, slot_u, slot_v, n: int) -> bool:
     return True
 
 
+def constraint_test(
+    n: int,
+    constraints: list[tuple[tuple[int, ...], frozenset[int], int]],
+    *,
+    require_nonbip: bool = False,
+):
+    """Mask predicate for packed copy-count constraints (plus non-bipartiteness)."""
+    slot_u = [u for u, _ in slot_pairs(n)]
+    slot_v = [v for _, v in slot_pairs(n)]
+
+    def feasible(g: int) -> bool:
+        for placements, allowed, cap in constraints:
+            cnt = 0
+            for p in placements:
+                if p & g == p:
+                    cnt += 1
+                    if cnt > cap:
+                        break
+            if cnt not in allowed:
+                return False
+        return not require_nonbip or not _bipartite(g, slot_u, slot_v, n)
+
+    return feasible
+
+
 def _reverse_bits(mask: int, width: int) -> int:
     rev = 0
     for s in range(width):
@@ -78,17 +98,12 @@ class LevelResult:
 
 
 def scan_level(
-    n: int,
     m_slots: int,
     m_edges: int,
-    constraints: list[tuple[tuple[int, ...], frozenset[int], int]],
-    slot_u,
-    slot_v,
+    feasible,
     *,
-    require_nonbip: bool = False,
     collect_min: bool = False,
     deadline=None,
-    clock=None,
 ) -> LevelResult:
     """Scan one edge-count level; returns first or graph6-min feasible mask.
 
@@ -108,23 +123,7 @@ def scan_level(
     while True:
         g = full ^ c if use_complement else c
         explored += 1
-
-        feasible = True
-        for placements, allowed, cap in constraints:
-            cnt = 0
-            for p in placements:
-                if p & g == p:
-                    cnt += 1
-                    if cnt > cap:
-                        break
-            if cnt not in allowed:
-                feasible = False
-                break
-
-        if feasible and require_nonbip:
-            feasible = not _bipartite(g, m_slots, slot_u, slot_v, n)
-
-        if feasible:
+        if feasible(g):
             if not collect_min:
                 return LevelResult(True, g, explored, False)
             rev = _reverse_bits(g, m_slots)
@@ -136,5 +135,35 @@ def scan_level(
         lo = c & -c
         lz = c + lo
         c = lz | (((c ^ lz) >> 2) // lo)
-        if deadline is not None and explored % POLL_EVERY == 0 and clock() > deadline:
+        if (
+            deadline is not None
+            and explored % POLL_EVERY == 0
+            and time.monotonic() > deadline
+        ):
             return LevelResult(False, None, explored, True)
+
+
+def scan(
+    m_slots: int,
+    feasible,
+    *,
+    collect_min: bool = False,
+    deadline=None,
+) -> LevelResult:
+    """Scan levels downward from m_slots; stop at the first one with a feasible mask.
+
+    The maximum is the found mask's edge count; `explored` counts every graph
+    tested on every level.
+    """
+    explored = 0
+    for m_edges in range(m_slots, -1, -1):
+        if deadline is not None and time.monotonic() >= deadline:
+            return LevelResult(False, None, explored, True)
+        res = scan_level(
+            m_slots, m_edges, feasible,
+            collect_min=collect_min, deadline=deadline,
+        )
+        explored += res.explored
+        if res.timed_out or res.found:
+            return LevelResult(res.found, res.mask, explored, res.timed_out)
+    return LevelResult(False, None, explored, False)

@@ -27,13 +27,14 @@ from turantools.graphs import (
 TREES_ORDER_CAP = 7
 
 
-def _labeled_trees(n: int) -> list[Graph]:
-    """All labeled trees on n vertices via Prufer sequences."""
+def _labeled_trees(n: int):
+    """Edge lists of all labeled trees on n vertices, in Prufer-sequence order."""
     if n == 1:
-        return [make_graph(1, [])]
+        yield []
+        return
     if n == 2:
-        return [make_graph(2, [(0, 1)])]
-    trees = []
+        yield [(0, 1)]
+        return
     for seq in product(range(n), repeat=n - 2):
         degree = [1] * n
         for v in seq:
@@ -50,24 +51,52 @@ def _labeled_trees(n: int) -> list[Graph]:
         u = heapq.heappop(leaves)
         v = heapq.heappop(leaves)
         edges.append((u, v))
-        trees.append(make_graph(n, edges))
-    return trees
+        yield edges
+
+
+def _tree_code(n: int, edges) -> str:
+    """Canonical code of a tree: the AHU string rooted at its centre.
+
+    A bicentral tree joins the sorted codes of the two halves, so two trees
+    share a code exactly when they are isomorphic.
+    """
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    degree = [len(a) for a in nbrs]
+    layer = [v for v in range(n) if degree[v] <= 1]
+    left = n
+    while left > 2:  # peel leaves until the centre (one or two vertices) remains
+        left -= len(layer)
+        nxt = []
+        for leaf in layer:
+            for w in nbrs[leaf]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    nxt.append(w)
+        layer = nxt
+
+    def code(v: int, parent: int) -> str:
+        return "(" + "".join(sorted(code(w, v) for w in nbrs[v] if w != parent)) + ")"
+
+    if len(layer) == 1:
+        return code(layer[0], -1)
+    a, b = layer
+    return "".join(sorted((code(a, b), code(b, a))))
 
 
 @lru_cache(maxsize=None)
 def tree_classes(n: int) -> tuple[Graph, ...]:
-    """Non-isomorphic trees on n vertices."""
+    """Non-isomorphic trees on n vertices: the first labeled tree of each class."""
     if n > TREES_ORDER_CAP:
         raise ValueError(f"tree enumeration capped at {TREES_ORDER_CAP} vertices")
-    reps: list[Graph] = []
-    by_degseq: dict[tuple[int, ...], list[Graph]] = {}
-    for t in _labeled_trees(n):
-        key = tuple(sorted(t.degrees()))
-        bucket = by_degseq.setdefault(key, [])
-        if not any(are_isomorphic(t, r) for r in bucket):
-            bucket.append(t)
-            reps.append(t)
-    return tuple(reps)
+    reps: dict[str, Graph] = {}
+    for edges in _labeled_trees(n):
+        key = _tree_code(n, edges)
+        if key not in reps:
+            reps[key] = make_graph(n, edges)
+    return tuple(reps.values())
 
 
 class GraphFamily:

@@ -1,10 +1,12 @@
-"""Exhaustive maximization engines over all labeled graphs on n vertices.
+"""Exact maximization engines over all labeled graphs on n vertices.
 
-Everything returns exact values: the search walks edge-count levels downward
-from C(n,2) and stops at the first level containing a qualifying graph, so
-the maximum is certified by exhausting every denser level.  Returned
-witnesses are re-verified through the independent embeddings-based copy
-counter before the result is handed back.
+Everything returns exact values: the family oracles run the branch-and-bound
+search of `_bnb`, which certifies the maximum by cutting only branches that
+cannot beat it, and return the graph6-lexicographically smallest optimal graph
+as the witness.  Returned witnesses are re-verified through the independent
+embeddings-based copy counter before the result is handed back.
+`max_edges_with` runs an arbitrary predicate through the reference level
+scanner of `_scan`.
 """
 
 from __future__ import annotations
@@ -13,16 +15,18 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from turantools._scan import pack_constraints, scan_level
-from turantools.counting import count_copies, strip_isolated
+from turantools._bnb import branch_and_bound, pack_constraints
+from turantools._scan import scan
+from turantools.counting import count_copies, labeled_copies, strip_isolated
 from turantools.families import GraphFamily
 from turantools.graphs import (
     Graph,
+    check_bipartite,
+    complete_graph,
     encode_graph6,
     graph_from_mask,
     make_graph,
     pair_count,
-    slot_pairs,
 )
 
 UNRESTRICTED_ORDER_CAP = 8
@@ -64,51 +68,41 @@ def _check_order(n: int, allow_large: bool) -> None:
         )
 
 
+def _deadline(budget: float | None) -> float | None:
+    return time.monotonic() + budget if budget is not None else None
+
+
 def _search(
     n: int,
     constraints: list[tuple[tuple[int, ...], set[int]]],
     *,
     require_nonbip: bool = False,
-    lexmin_witness: bool = False,
-    budget: float | None = None,
+    deadline: float | None = None,
     allow_large: bool = False,
 ) -> OracleResult:
-    """Max edge count over labeled graphs meeting every copy-count constraint."""
+    """Max edge count over labeled graphs meeting every copy-count constraint.
+
+    The witness is the graph6-lexicographically smallest optimal graph and
+    `explored` counts search nodes.
+    """
     _check_order(n, allow_large)
     t0 = time.monotonic()
-    deadline = t0 + budget if budget is not None else None
-    pack = pack_constraints(constraints)
-    m_slots = pair_count(n)
-    pairs = slot_pairs(n)
-    slot_u = [p[0] for p in pairs]
-    slot_v = [p[1] for p in pairs]
 
-    explored = 0
-    for m_edges in range(m_slots, -1, -1):
-        if deadline is not None and time.monotonic() >= deadline:
-            return OracleResult(None, None, explored, time.monotonic() - t0, False)
-        res = scan_level(
-            n,
-            m_slots,
-            m_edges,
-            pack,
-            slot_u,
-            slot_v,
-            require_nonbip=require_nonbip,
-            collect_min=lexmin_witness,
-            deadline=deadline,
-            clock=time.monotonic,
-        )
-        explored += res.explored
-        if res.timed_out:
-            return OracleResult(None, None, explored, time.monotonic() - t0, False)
-        if res.found:
-            witness = graph_from_mask(n, res.mask)
-            assert witness.edge_count() == m_edges
-            return OracleResult(
-                m_edges, witness, explored, time.monotonic() - t0, True
-            )
-    return OracleResult(None, None, explored, time.monotonic() - t0, True)
+    def nonbipartite(mask: int) -> bool:
+        return not check_bipartite(graph_from_mask(n, mask))
+
+    res = branch_and_bound(
+        pair_count(n),
+        pack_constraints(constraints),
+        leaf_ok=nonbipartite if require_nonbip else None,
+        deadline=deadline,
+    )
+    elapsed = time.monotonic() - t0
+    if res.value is None:
+        return OracleResult(None, None, res.nodes, elapsed, not res.timed_out)
+    witness = graph_from_mask(n, res.mask)
+    assert witness.edge_count() == res.value
+    return OracleResult(res.value, witness, res.nodes, elapsed, True)
 
 
 def max_edges_with(
@@ -120,42 +114,22 @@ def max_edges_with(
 ) -> OracleResult:
     """Generic engine: max edges over all graphs on n vertices with pred(G) true.
 
-    Independent reference for the level scanner that the family oracles use:
-    the same descending-level, first-feasible semantics and Gosper order.
+    Runs the reference level scanner: levels downward from C(n,2), the first
+    feasible graph in Gosper order as the witness, and `explored` counting
+    every graph tested.
     """
     _check_order(n, allow_large)
     t0 = time.monotonic()
-    deadline = t0 + budget if budget is not None else None
-    m_slots = pair_count(n)
-    full = (1 << m_slots) - 1
-    explored = 0
-    for m_edges in range(m_slots, -1, -1):
-        d_missing = m_slots - m_edges
-        if d_missing <= m_edges:
-            d, use_complement = d_missing, True
-        else:
-            d, use_complement = m_edges, False
-        c = (1 << d) - 1 if d else 0
-        last = ((1 << d) - 1) << (m_slots - d) if d else 0
-        while True:
-            g = full ^ c if use_complement else c
-            explored += 1
-            if pred(graph_from_mask(n, g)):
-                witness = graph_from_mask(n, g)
-                return OracleResult(
-                    m_edges, witness, explored, time.monotonic() - t0, True
-                )
-            if explored % 4096 == 0 and deadline is not None:
-                if time.monotonic() > deadline:
-                    return OracleResult(
-                        None, None, explored, time.monotonic() - t0, False
-                    )
-            if c == last:
-                break
-            lo = c & -c
-            lz = c + lo
-            c = lz | (((c ^ lz) >> 2) // lo)
-    return OracleResult(None, None, explored, time.monotonic() - t0, True)
+    res = scan(
+        pair_count(n),
+        lambda g: pred(graph_from_mask(n, g)),
+        deadline=_deadline(budget),
+    )
+    elapsed = time.monotonic() - t0
+    if not res.found:
+        return OracleResult(None, None, res.explored, elapsed, not res.timed_out)
+    witness = graph_from_mask(n, res.mask)
+    return OracleResult(witness.edge_count(), witness, res.explored, elapsed, True)
 
 
 def _verify_witness(res: OracleResult, members, allowed: set[int]) -> OracleResult:
@@ -181,29 +155,43 @@ def exa_oracle(n: int, k: int, fam: GraphFamily, **kw) -> OracleResult:
     return exa_set_oracle(n, {k}, fam, **kw)
 
 
-def exa_set_oracle(n: int, counts, fam: GraphFamily, **kw) -> OracleResult:
+def exa_set_oracle(
+    n: int,
+    counts,
+    fam: GraphFamily,
+    *,
+    budget: float | None = None,
+    allow_large: bool = False,
+) -> OracleResult:
     """Most edges with total family copy count in the given finite set."""
     allowed = set(counts)
     if not allowed:
         raise ValueError("count set must be non-empty")
     members = fam.members(n)
     placements = fam.placements(n)
-    res = _search(n, [(placements, allowed)], **kw)
+    res = _search(
+        n, [(placements, allowed)], deadline=_deadline(budget), allow_large=allow_large
+    )
     return _verify_witness(res, members, allowed)
 
 
-def exa_prime_oracle(n: int, fam: GraphFamily, **kw) -> OracleResult:
+def exa_prime_oracle(
+    n: int,
+    fam: GraphFamily,
+    *,
+    budget: float | None = None,
+    allow_large: bool = False,
+) -> OracleResult:
     """Max of |E(G)| - |E(F)| over G with exactly one copy of exactly one member.
 
     The witness is the graph6-lexicographically smallest optimal G; `member`
-    carries the F it uniquely contains.
+    carries the F it uniquely contains.  One budget covers all members; when
+    it runs out the result is incomplete with no value.
     """
-    from turantools.counting import labeled_copies
-
     members = fam.members(n)
     t0 = time.monotonic()
+    deadline = _deadline(budget)
     explored = 0
-    complete = True
     best: tuple[int, str, Graph, Graph] | None = None  # (objective, g6, G, F)
     member_placements = [labeled_copies(n, f) for f in members]
     for i, f in enumerate(members):
@@ -211,11 +199,10 @@ def exa_prime_oracle(n: int, fam: GraphFamily, **kw) -> OracleResult:
         constraints += [
             (member_placements[j], {0}) for j in range(len(members)) if j != i
         ]
-        res = _search(n, constraints, lexmin_witness=True, **kw)
+        res = _search(n, constraints, deadline=deadline, allow_large=allow_large)
         explored += res.explored
         if not res.complete:
-            complete = False
-            continue
+            return OracleResult(None, None, explored, time.monotonic() - t0, False)
         if res.value is None:
             continue
         objective = res.value - f.edge_count()
@@ -228,22 +215,24 @@ def exa_prime_oracle(n: int, fam: GraphFamily, **kw) -> OracleResult:
             best = (objective, g6, res.witness, f)
     elapsed = time.monotonic() - t0
     if best is None:
-        return OracleResult(None, None, explored, elapsed, complete)
+        return OracleResult(None, None, explored, elapsed, True)
     objective, _, witness, f = best
     for j, other in enumerate(members):
         want = 1 if other == f else 0
         if count_copies(witness, other) != want:
             raise AssertionError("exa-prime witness re-verification failed")
-    return OracleResult(objective, witness, explored, elapsed, complete, member=f)
+    return OracleResult(objective, witness, explored, elapsed, True, member=f)
 
 
-def triangle_free_nonbipartite_oracle(n: int, **kw) -> OracleResult:
+def triangle_free_nonbipartite_oracle(
+    n: int, *, budget: float | None = None, allow_large: bool = False
+) -> OracleResult:
     """Max edges over triangle-free graphs on n vertices that are not bipartite."""
-    from turantools.counting import labeled_copies
-    from turantools.graphs import check_bipartite, complete_graph
-
     tri = labeled_copies(n, complete_graph(3))
-    res = _search(n, [(tri, {0})], require_nonbip=True, **kw)
+    res = _search(
+        n, [(tri, {0})], require_nonbip=True,
+        deadline=_deadline(budget), allow_large=allow_large,
+    )
     if res.witness is not None:
         if count_copies(res.witness, complete_graph(3)) != 0:
             raise AssertionError("witness re-verification failed: has a triangle")

@@ -1,12 +1,13 @@
 import pytest
 
 from turantools.counting import are_isomorphic
-from turantools.families import GraphFamily, parse_family, tree_classes
+from turantools.families import GraphFamily, _labeled_trees, parse_family, tree_classes
 from turantools.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
     encode_graph6,
+    make_graph,
     matching_graph,
     star_graph,
 )
@@ -24,6 +25,17 @@ def test_tree_classes_pairwise_noniso():
     for i, a in enumerate(trees):
         for b in trees[i + 1:]:
             assert not are_isomorphic(a, b)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_tree_classes_are_first_labeled_tree_of_each_class(n):
+    # reference: Prufer order, isomorphism tests against the classes so far
+    reps = []
+    for edges in _labeled_trees(n):
+        t = make_graph(n, edges)
+        if not any(are_isomorphic(t, r) for r in reps):
+            reps.append(t)
+    assert tree_classes(n) == tuple(reps)
 
 
 def test_star_family():
