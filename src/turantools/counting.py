@@ -151,11 +151,23 @@ def labeled_copies(n: int, pattern: Graph) -> tuple[int, ...]:
     if f.n == 0:
         return (0,)
     fe = f.edges()
-    masks = set()
-    for sub in combinations(range(n), f.n):
-        for img in permutations(sub):
-            masks.add(mask_from_edges(n, [(img[u], img[v]) for u, v in fe]))
-    return tuple(sorted(masks))
+    masks = {
+        mask_from_edges(n, [(img[u], img[v]) for u, v in fe])
+        for img in permutations(range(f.n))
+    }
+    if f.n == n:
+        return tuple(sorted(masks))
+    # Relabel the copies on vertices 0..f.n-1 onto every f.n-subset; a copy
+    # spans exactly its subset, so no mask repeats.
+    pairs = slot_pairs(n)
+    copies = [[pairs[s] for s in range(m.bit_length()) if m >> s & 1] for m in masks]
+    return tuple(
+        sorted(
+            mask_from_edges(n, [(sub[u], sub[v]) for u, v in edges])
+            for sub in combinations(range(n), f.n)
+            for edges in copies
+        )
+    )
 
 
 @lru_cache(maxsize=None)

@@ -6,13 +6,18 @@ index subsets, so repeated values on one side do not multiply the count, but
 a value shared between the two sides always yields a second assignment by
 swapping, hence such pairs are never unique.  When A = B an assignment and
 its side-swap count once.
+
+Any other assignment reaching A is the A-side minus X plus Y, for non-empty
+X from the A-side and Y from the B-side with sum(X) = sum(Y).  So a
+value-disjoint pair is unique exactly when the two sides' sub-multiset sums
+meet only in 0, and in A when A = B (the swap).  Adding a part only adds
+sums, so `mup` cuts every partition that extends a failing one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 from turantools.errors import UnsolvedError
 
@@ -73,32 +78,21 @@ def smallest_nondivisor(c: int) -> int:
     return nu
 
 
-def _assignment_count(parts: tuple[int, ...], target: int, cap: int = 3) -> int:
-    """Index subsets of the multiset summing to target, clipped at cap."""
-    coeff = [0] * (target + 1)
-    coeff[0] = 1
-    mult: dict[int, int] = {}
+def _subset_sums(parts: tuple[int, ...]) -> int:
+    """Bitset of all sub-multiset sums of parts (bit s set when s is a sum)."""
+    sums = 1
     for p in parts:
-        mult[p] = mult.get(p, 0) + 1
-    for value, m in mult.items():
-        nxt = [0] * (target + 1)
-        for taken in range(m + 1):
-            add = value * taken
-            if add > target:
-                break
-            ways = comb(m, taken)
-            for s in range(target - add + 1):
-                if coeff[s]:
-                    nxt[s + add] = min(cap, nxt[s + add] + ways * coeff[s])
-        coeff = nxt
-    return coeff[target]
+        sums |= sums << p
+    return sums
 
 
 def is_unique_partition(a_sum: int, b_sum: int, pp: PartitionPair) -> bool:
     """Exactly one side-assignment of the combined parts reaches (A, B).
 
     Side-swapped assignments are identified when A = B; any part value
-    appearing on both sides disqualifies the pair outright.
+    appearing on both sides disqualifies the pair outright.  Otherwise the
+    sides' sub-multiset sums may meet only in 0, and in A when A = B: any
+    other common sum s swaps parts worth s of one side for the other's.
     """
     if pp.sum_a() != a_sum or pp.sum_b() != b_sum:
         raise ValueError(
@@ -106,31 +100,37 @@ def is_unique_partition(a_sum: int, b_sum: int, pp: PartitionPair) -> bool:
         )
     if set(pp.parts_a) & set(pp.parts_b):
         return False
-    count = _assignment_count(pp.parts_a + pp.parts_b, a_sum)
-    if a_sum == b_sum:
-        return count == 2
-    return count == 1
+    shared = 1 | (a_sum == b_sum) << a_sum
+    return not _subset_sums(pp.parts_a) & _subset_sums(pp.parts_b) & ~shared
 
 
-def _partitions_into(n: int, k: int, max_part: int) -> list[tuple[int, ...]]:
-    """Partitions of n into exactly k parts, each <= max_part, non-increasing."""
-    if k == 0:
-        return [()] if n == 0 else []
-    if n < k:
-        return []
-    out = []
-    lo = (n + k - 1) // k
-    hi = min(max_part, n - k + 1)
-    for first in range(hi, lo - 1, -1):
-        for rest in _partitions_into(n - first, k - 1, first):
-            out.append((first,) + rest)
-    return out
+def _partitions_into(n: int, k: int, max_part: int, forbidden: int = 0):
+    """Partitions of n into exactly k parts, each <= max_part, non-increasing.
+
+    Yields only those whose sub-multiset sums miss the bitset `forbidden`
+    (bit 0 clear; 0 yields every partition).  A partition (p, *rest) does
+    when p is not forbidden and rest misses every forbidden f and f - p, so
+    a forbidden part cuts its whole subtree.
+    """
+    if k == 0 or n < k:
+        if n == k:  # n = k = 0: the empty partition
+            yield ()
+        return
+    least = (~forbidden & (forbidden + 2)).bit_length() - 1  # least part allowed
+    for first in range(min(max_part, n - (k - 1) * least), (n + k - 1) // k - 1, -1):
+        if not forbidden >> first & 1:
+            rest_forbidden = forbidden | forbidden >> first
+            for rest in _partitions_into(n - first, k - 1, first, rest_forbidden):
+                yield (first,) + rest
 
 
 def mup(a_sum: int, b_sum: int) -> MupResult:
     """Exact maximum total part count over unique partitions of (A, B).
 
-    mup(1,1) is 2 by definition and carries no witness (no pair of
+    Totals are tried from the largest down; each partition of the smaller
+    target fixes the sums the larger side's partitions must miss.  The
+    witness is the least (A-side, B-side) pair of the first total that has
+    one.  mup(1,1) is 2 by definition and carries no witness (no pair of
     one-part partitions of 1 and 1 is value-disjoint).
     """
     if a_sum < 1 or b_sum < 1:
@@ -141,18 +141,21 @@ def mup(a_sum: int, b_sum: int) -> MupResult:
         raise UnsolvedError(
             f"mup search budget is A+B <= {MUP_BUDGET}, got {a_sum + b_sum}"
         )
+    swap = b_sum < a_sum
+    small, big = (b_sum, a_sum) if swap else (a_sum, b_sum)
+    # A shared part value is a shared sum, hence forbidden, save for (A)/(B)
+    # when A = B; that pair never wins, (1,...,1)/(B) has total A + 1.
+    shared = 1 | (a_sum == b_sum) << a_sum
+    sides = [  # the smaller side's partitions by part count, with their forbidden sums
+        [(ps, _subset_sums(ps) & ~shared) for ps in _partitions_into(small, k, small)]
+        for k in range(small + 1)
+    ]
     for total in range(a_sum + b_sum, 1, -1):
         winners = []
-        for a_parts in range(max(1, total - b_sum), min(a_sum, total - 1) + 1):
-            b_parts = total - a_parts
-            for pa in _partitions_into(a_sum, a_parts, a_sum):
-                set_a = set(pa)
-                for pb in _partitions_into(b_sum, b_parts, b_sum):
-                    if set_a & set(pb):
-                        continue
-                    pp = PartitionPair(pa, pb)
-                    if is_unique_partition(a_sum, b_sum, pp):
-                        winners.append((pa, pb))
+        for small_parts in range(max(1, total - big), min(small, total - 1) + 1):
+            for ps, forbidden in sides[small_parts]:
+                for pl in _partitions_into(big, total - small_parts, big, forbidden):
+                    winners.append((pl, ps) if swap else (ps, pl))
         if winners:
             pa, pb = min(winners)
             return MupResult(total, PartitionPair(pa, pb))
@@ -170,10 +173,6 @@ def exa1_kab(a_sum: int, b_sum: int) -> int:
     return n * (n - 1) // 2 - n + _mup_cached(a_sum, b_sum).value
 
 
-def _divisors(c: int) -> list[int]:
-    return [d for d in range(1, c + 1) if c % d == 0]
-
-
 def mup_series_check(c: int, n_max: int) -> dict:
     """Tabulate mup(n, c) for c < n <= n_max and report structural checks.
 
@@ -189,7 +188,7 @@ def mup_series_check(c: int, n_max: int) -> dict:
             f"series check capped at n <= {SERIES_N_CAP - c} for c={c}"
         )
     nu = smallest_nondivisor(c)
-    divisors = _divisors(c)
+    divisors = [d for d in range(1, c + 1) if c % d == 0]
     rows = []
     values: dict[int, int] = {}
     for n in range(c + 1, n_max + 1):

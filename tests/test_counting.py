@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +13,7 @@ from turantools.counting import (
     labeled_copies,
     strip_isolated,
 )
+from turantools.families import GraphFamily
 from turantools.graphs import (
     complete_graph,
     cycle_graph,
@@ -20,6 +21,7 @@ from turantools.graphs import (
     empty_graph,
     graph_from_mask,
     make_graph,
+    mask_from_edges,
     matching_graph,
     pair_count,
     path_graph,
@@ -126,6 +128,41 @@ def test_labeled_copies_match_counts():
     host = make_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
     hmask = host.edge_mask()
     assert sum(1 for p in masks if p & hmask == p) == count_copies(host, tri)
+
+
+def _labeled_copies_by_all_permutations(n, pattern):
+    """Reference: map every permutation of every vertex subset of K_n."""
+    f = strip_isolated(pattern)
+    if f.n > n:
+        return ()
+    if f.n == 0:
+        return (0,)
+    masks = set()
+    for sub in combinations(range(n), f.n):
+        for img in permutations(sub):
+            masks.add(mask_from_edges(n, [(img[u], img[v]) for u, v in f.edges()]))
+    return tuple(sorted(masks))
+
+
+def _named_specs(n):
+    specs = ["trees"] + [f"clique:{r}" for r in range(2, n + 2)]
+    specs += [f"matching:{l}" for l in range(2, n + 1, 2)]
+    specs += [f"bipartite:{a},{n - a}" for a in range(1, n)]
+    if n >= 2:
+        specs.append("star")
+    if n >= 3:
+        specs += ["hamcycle", "kminus"]
+    if n % 2 == 0:
+        specs.append("perfmatching")
+    return specs
+
+
+def test_labeled_copies_match_all_permutations_build():
+    for n in range(1, 8):
+        for spec in _named_specs(n):
+            for m in GraphFamily(spec).members(n):
+                want = _labeled_copies_by_all_permutations(n, m)
+                assert labeled_copies(n, m) == want, (n, spec)
 
 
 def test_labeled_copies_empty_pattern():

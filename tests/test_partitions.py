@@ -8,6 +8,7 @@ from turantools.families import GraphFamily
 from turantools.oracle import exa_oracle
 from turantools.partitions import (
     PartitionPair,
+    _partitions_into,
     exa1_kab,
     is_unique_partition,
     mup,
@@ -88,6 +89,83 @@ def test_uniqueness_matches_enumeration_oracle(pp):
     assert is_unique_partition(a, b, pp) == _unique_by_enumeration(a, pp)
 
 
+def _all_partitions(n: int, max_part: int | None = None) -> list[tuple[int, ...]]:
+    """Every partition of n, parts non-increasing, by direct recursion."""
+    if n == 0:
+        return [()]
+    top = n if max_part is None else min(n, max_part)
+    return [(p,) + r for p in range(top, 0, -1) for r in _all_partitions(n - p, p)]
+
+
+def test_uniqueness_matches_enumeration_oracle_exhaustive():
+    for a in range(1, 8):
+        for b in range(1, 8):
+            for pa in _all_partitions(a):
+                for pb in _all_partitions(b):
+                    pp = PartitionPair(pa, pb)
+                    assert is_unique_partition(a, b, pp) == _unique_by_enumeration(
+                        a, pp
+                    ), pp
+
+
+def test_partitions_into_without_pruning_yields_every_partition():
+    for n in range(1, 13):
+        for k in range(0, n + 2):
+            want = [p for p in _all_partitions(n) if len(p) == k]
+            assert list(_partitions_into(n, k, n)) == want, (n, k)
+
+
+def test_partitions_into_prunes_by_forbidden_sums():
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            for forbidden in (0b10, 0b1000, 0b100100, 0b1010010000):
+                want = [
+                    p
+                    for p in _all_partitions(n)
+                    if len(p) == k
+                    and not any(
+                        forbidden >> sum(sel) & 1
+                        for r in range(1, k + 1)
+                        for sel in combinations(p, r)
+                    )
+                ]
+                assert list(_partitions_into(n, k, n, forbidden)) == want, (n, k)
+
+
+def _reference_mup(a_sum: int, b_sum: int):
+    """Double loop over all partition pairs, judged by the enumeration oracle."""
+    for total in range(a_sum + b_sum, 1, -1):
+        winners = [
+            (pa, pb)
+            for pa in _all_partitions(a_sum)
+            for pb in _all_partitions(b_sum)
+            if len(pa) + len(pb) == total
+            and _unique_by_enumeration(a_sum, PartitionPair(pa, pb))
+        ]
+        if winners:
+            return total, PartitionPair(*min(winners))
+
+
+def test_mup_matches_reference():
+    for a in range(1, 16):
+        for b in range(1, 17 - a):
+            if (a, b) == (1, 1):
+                continue
+            res = mup(a, b)
+            assert (res.value, res.witness) == _reference_mup(a, b), (a, b)
+
+
+def test_mup_at_the_budget_edge():
+    # 15 also comes out of an exhaustive search that counts the assignments
+    # of every partition pair with a subset-sum DP
+    fwd, rev = mup(6, 54), mup(54, 6)
+    assert fwd.value == rev.value == 15
+    assert is_unique_partition(6, 54, fwd.witness)
+    assert is_unique_partition(54, 6, rev.witness)
+    assert _unique_by_enumeration(6, fwd.witness)
+    assert _unique_by_enumeration(54, rev.witness)
+
+
 def test_mup_base_case():
     res = mup(1, 1)
     assert res.value == 2 and res.witness is None
@@ -113,8 +191,6 @@ def test_mup_witness_is_unique_partition():
 
 def test_mup_is_actually_maximal():
     # nothing with more parts passes the uniqueness check; exhaustive A+B <= 14
-    from turantools.partitions import _partitions_into
-
     for a_sum in range(1, 14):
         for b_sum in range(a_sum, 15 - a_sum):
             if (a_sum, b_sum) == (1, 1):
