@@ -27,20 +27,6 @@ from dataclasses import dataclass
 POLL_EVERY = 1 << 16
 
 
-def pack_constraints(
-    constraints: list[tuple[tuple[int, ...], set[int]]],
-) -> list[tuple[tuple[int, ...], frozenset[int], int]]:
-    """(placement masks, allowed count set) pairs -> (masks, allowed, max allowed)."""
-    packed = []
-    for placements, allowed in constraints:
-        if not allowed:
-            raise ValueError("empty allowed-count set")
-        if min(allowed) < 0:
-            raise ValueError("copy counts are non-negative")
-        packed.append((tuple(placements), frozenset(allowed), max(allowed)))
-    return packed
-
-
 @dataclass
 class SearchResult:
     value: int | None
@@ -55,23 +41,29 @@ class _Timeout(Exception):
 
 def branch_and_bound(
     m_slots: int,
-    constraints: list[tuple[tuple[int, ...], frozenset[int], int]],
+    constraints: list[tuple[tuple[int, ...], set[int]]],
     *,
     leaf_ok=None,
     deadline: float | None = None,
     clock=time.monotonic,
 ) -> SearchResult:
-    """Most edges over masks on m_slots slots meeting every packed constraint.
+    """Most edges over masks on m_slots slots meeting every constraint.
 
-    `leaf_ok(mask)` is an extra predicate checked on feasible leaves.  The
-    returned mask is the graph6-smallest optimum; value None with timed_out
-    False means no mask qualifies.
+    A constraint is a (placement masks, allowed count set) pair: the number
+    of placements inside the mask must lie in the set.  `leaf_ok(mask)` is an
+    extra predicate checked on feasible leaves.  The returned mask is the
+    graph6-smallest optimum; value None with timed_out False means no mask
+    qualifies.
     """
     contains = [0] * m_slots
     ends = [0] * m_slots
     checks = []  # (bits of one constraint, allowed, max, min)
     done0 = bit = 0
-    for placements, allowed, cap in constraints:
+    for placements, allowed in constraints:
+        if not allowed:
+            raise ValueError("empty allowed-count set")
+        if min(allowed) < 0:
+            raise ValueError("copy counts are non-negative")
         cbits = 0
         for p in placements:
             cbits |= 1 << bit
@@ -84,7 +76,7 @@ def branch_and_bound(
                 contains[low.bit_length() - 1] |= 1 << bit
                 p ^= low
             bit += 1
-        checks.append((cbits, allowed, cap, min(allowed)))
+        checks.append((cbits, allowed, max(allowed), min(allowed)))
     caps = [(c, cap) for c, _, cap, _ in checks if cap < c.bit_count()]
     mins = [(c, lo) for c, _, _, lo in checks if lo > 0]
     alive0 = (1 << bit) - 1

@@ -58,16 +58,18 @@ def _bipartite(g: int, slot_u, slot_v, n: int) -> bool:
 
 def constraint_test(
     n: int,
-    constraints: list[tuple[tuple[int, ...], frozenset[int], int]],
+    constraints: list[tuple[tuple[int, ...], set[int]]],
     *,
     require_nonbip: bool = False,
 ):
-    """Mask predicate for packed copy-count constraints (plus non-bipartiteness)."""
+    """Mask predicate for (placement masks, allowed count set) constraints,
+    plus non-bipartiteness when asked."""
     slot_u = [u for u, _ in slot_pairs(n)]
     slot_v = [v for _, v in slot_pairs(n)]
+    checks = [(masks, allowed, max(allowed)) for masks, allowed in constraints]
 
     def feasible(g: int) -> bool:
-        for placements, allowed, cap in constraints:
+        for placements, allowed, cap in checks:
             cnt = 0
             for p in placements:
                 if p & g == p:

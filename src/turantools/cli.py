@@ -52,21 +52,9 @@ class _UsageError(Exception):
     pass
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    # same flags as the root parser; SUPPRESS keeps root-level values intact
-    sp.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                    help=argparse.SUPPRESS)
-    sp.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                    help=argparse.SUPPRESS)
-    sp.add_argument("--budget", type=float, default=argparse.SUPPRESS,
-                    help=argparse.SUPPRESS)
-
-
 def _build_parser() -> _Parser:
     p = _Parser(prog="turantools", description=__doc__)
     p.add_argument("--json", action="store_true", help="emit one JSON document")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
-    p.add_argument("--budget", type=float, default=None, help="search budget, seconds")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("count", help="count pattern copies in a host graph")
@@ -82,6 +70,7 @@ def _build_parser() -> _Parser:
     o.add_argument("--family", help="family spec")
     o.add_argument("--pattern", help="pattern graph6 (zeta)")
     o.add_argument("--allow-large", action="store_true", help="lift the n<=8 guard")
+    o.add_argument("--budget", type=float, help="search budget, seconds (not zeta)")
 
     b = sub.add_parser("construct", help="explicit extremal constructions")
     b.add_argument("name", choices=["klikk", "triangle", "star", "kab"])
@@ -108,10 +97,8 @@ def _build_parser() -> _Parser:
 
     v = sub.add_parser("verify", help="named verification suites")
     v.add_argument("--suite", required=True, help="|".join(sorted(SUITES)) + "|all")
-    v.add_argument("--n-max", type=int, default=None)
-
-    for sp in (c, o, b, m, g, v):
-        _add_common(sp)
+    v.add_argument("--n-max", type=int, help="size bound (single sized suites only)")
+    v.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
     return p
 
 
@@ -150,6 +137,8 @@ def _cmd_oracle(args) -> int:
     if args.mode == "zeta":
         if not args.pattern:
             raise _UsageError("zeta needs --pattern")
+        if args.budget is not None:
+            raise _UsageError("zeta takes no --budget")
         value = zeta(decode_graph6(args.pattern))
         _emit({"value": value}, args.json, [f"zeta = {value}"])
         return EXIT_OK
@@ -279,6 +268,8 @@ def _cmd_game(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.suite == "all" and args.n_max is not None:
+        raise _UsageError("--n-max needs a single suite, not all")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     reports = []
     for name in names:

@@ -12,7 +12,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from turantools.graphs import Graph, make_graph, mask_from_edges, slot_pairs
+from turantools.graphs import (
+    Graph,
+    graph_from_mask,
+    make_graph,
+    mask_from_edges,
+    slot_pairs,
+)
 
 AUT_ORDER_CAP = 10
 
@@ -138,6 +144,7 @@ def count_family(host: Graph, fam, n: int | None = None) -> int:
     return sum(count_copies(host, m) for m in stripped)
 
 
+@lru_cache(maxsize=None)
 def labeled_copies(n: int, pattern: Graph) -> tuple[int, ...]:
     """All copies of pattern inside K_n, as edge-slot masks, ascending.
 
@@ -175,8 +182,6 @@ def all_pattern_classes(max_order: int) -> tuple[Graph, ...]:
     """Non-isomorphic graphs with >= 1 edge and no isolated vertices, order <= max_order."""
     found: list[Graph] = []
     m = len(slot_pairs(max_order))
-    from turantools.graphs import graph_from_mask
-
     for mask in range(1, 1 << m):
         g = strip_isolated(graph_from_mask(max_order, mask))
         if any(are_isomorphic(g, h) for h in found):

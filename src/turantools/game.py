@@ -18,17 +18,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from turantools.counting import count_copies
+from turantools.counting import all_pattern_classes, count_copies
 from turantools.errors import AdversaryError, UnsolvedError
 from turantools.families import GraphFamily
 from turantools.graphs import (
     Edge,
     Graph,
     complement,
+    encode_graph6,
+    graph_from_mask,
     mask_from_edges,
     pair_count,
     slot_pairs,
 )
+from turantools.oracle import exa_oracle, exa_prime_oracle
 
 SOLVER_ORDER_CAP = 7
 DEFAULT_STATE_CAP = 5_000_000
@@ -77,17 +80,7 @@ class GameValue:
 
 def placements(n: int, fam: GraphFamily) -> list[tuple[Edge, ...]]:
     """All labeled copies of family members on 0..n-1, as sorted edge tuples."""
-    pairs = slot_pairs(n)
-    out = []
-    for mask in fam.placements(n):
-        edges = []
-        m = mask
-        while m:
-            s = (m & -m).bit_length() - 1
-            edges.append(pairs[s])
-            m &= m - 1
-        out.append(tuple(sorted(edges)))
-    return sorted(out)
+    return sorted(graph_from_mask(n, p).edges() for p in fam.placements(n))
 
 
 def _consistent_masks(masks, yes: int, no: int) -> list[int]:
@@ -99,17 +92,10 @@ def consistent_placements(state: GameState) -> list[tuple[Edge, ...]]:
     yes, no = state.yes_mask(), state.no_mask()
     if yes & no:
         raise ValueError("a pair cannot be answered both YES and NO")
-    pairs = slot_pairs(state.n)
-    out = []
-    for p in _consistent_masks(state.fam.placements(state.n), yes, no):
-        edges = []
-        m = p
-        while m:
-            s = (m & -m).bit_length() - 1
-            edges.append(pairs[s])
-            m &= m - 1
-        out.append(tuple(sorted(edges)))
-    return sorted(out)
+    return sorted(
+        graph_from_mask(state.n, p).edges()
+        for p in _consistent_masks(state.fam.placements(state.n), yes, no)
+    )
 
 
 def adversary_no_first(state: GameState, query: Edge) -> bool:
@@ -279,7 +265,6 @@ def simulate(n: int, fam: GraphFamily, questioner, adversary) -> Transcript:
     AdversaryError if an answer leaves no consistent placement.
     """
     masks = fam.placements(n)
-    pairs = slot_pairs(n)
     state = GameState(n, fam)
     record: list[tuple[Edge, bool]] = []
     for _ in range(pair_count(n) + 1):
@@ -302,13 +287,7 @@ def simulate(n: int, fam: GraphFamily, questioner, adversary) -> Transcript:
     final = cons[0]
     if state.yes_mask() & ~final:
         raise AdversaryError("YES answers are not a subset of the final placement")
-    edges = []
-    m = final
-    while m:
-        s = (m & -m).bit_length() - 1
-        edges.append(pairs[s])
-        m &= m - 1
-    return Transcript(tuple(record), tuple(sorted(edges)))
+    return Transcript(tuple(record), graph_from_mask(n, final).edges())
 
 
 def questioner_extremal_strategy(n: int, pattern: Graph, g_ext: Graph):
@@ -345,9 +324,8 @@ def questioner_extremal_strategy(n: int, pattern: Graph, g_ext: Graph):
                     if q not in asked:
                         return q
         for q in slot_pairs(n):
-            qq = (min(q), max(q))
-            if qq not in asked:
-                return qq
+            if q not in asked:
+                return q
         raise AssertionError("all pairs asked yet multiple placements remain")
 
     return questioner
@@ -398,7 +376,6 @@ def strategy_worst_case(n: int, fam: GraphFamily, questioner) -> int:
                 raise ValueError("questioner stopped before identification")
             memo[key] = 0
             return 0
-        qbit = mask_from_edges(n, [q])
         best = None
         for ans in (False, True):
             nxt = state.answer(q, ans)
@@ -420,10 +397,6 @@ def sweep_patterns(n: int, max_pattern_order: int = 4) -> dict:
     reports x(n,F) against C(n,2) - exa_1(n,F) and x'(n,F) against
     C(n,2) - exa'_1(n,F); findings only, nothing asserted.
     """
-    from turantools.counting import all_pattern_classes
-    from turantools.graphs import encode_graph6
-    from turantools.oracle import exa_oracle, exa_prime_oracle
-
     total_pairs = pair_count(n)
     rows = []
     for f in all_pattern_classes(max_pattern_order):

@@ -208,11 +208,9 @@ def turan_graph(n: int, r: int) -> Graph:
         start += s
     full = (1 << n) - 1
     adj = []
-    start = 0
     for pm, s in zip(part_mask, sizes):
         for _ in range(s):
             adj.append(full ^ pm)
-        start += s
     return Graph(n, tuple(adj))
 
 

@@ -1,12 +1,20 @@
 """Exact maximization engines over all labeled graphs on n vertices.
 
-Everything returns exact values: the family oracles run the branch-and-bound
-search of `_bnb`, which certifies the maximum by cutting only branches that
-cannot beat it, and return the graph6-lexicographically smallest optimal graph
-as the witness.  Returned witnesses are re-verified through the independent
-embeddings-based copy counter before the result is handed back.
-`max_edges_with` runs an arbitrary predicate through the reference level
-scanner of `_scan`.
+Everything returns exact values.  Each family oracle states its search as a
+list of (members, allowed) constraints: the total number of copies of the
+member patterns must lie in the allowed count set.
+
+  ex / exa_k / count set:  [(family members, allowed)]
+  exa' for member F:       [((G,), {1} if G == F else {0}) for each member G]
+  triangle-free non-bip.:  [((K3,), {0})], plus non-bipartiteness
+
+`_search` turns each constraint into labeled placements and runs the
+branch-and-bound search of `_bnb`, which certifies the maximum by cutting only
+branches that cannot beat it; the witness is the graph6-lexicographically
+smallest optimal graph.  `_reverified` re-counts a returned witness against
+the same constraint list through the independent embeddings-based copy
+counter before the result is handed back.  `max_edges_with` runs an
+arbitrary predicate through the reference level scanner of `_scan`.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from turantools._bnb import branch_and_bound, pack_constraints
+from turantools._bnb import branch_and_bound
 from turantools._scan import scan
 from turantools.counting import count_copies, labeled_copies, strip_isolated
 from turantools.families import GraphFamily
@@ -74,13 +82,15 @@ def _deadline(budget: float | None) -> float | None:
 
 def _search(
     n: int,
-    constraints: list[tuple[tuple[int, ...], set[int]]],
+    constraints: list[tuple[tuple[Graph, ...], set[int]]],
     *,
     require_nonbip: bool = False,
     deadline: float | None = None,
     allow_large: bool = False,
 ) -> OracleResult:
-    """Max edge count over labeled graphs meeting every copy-count constraint.
+    """Max edge count over labeled graphs meeting every (members, allowed)
+    constraint: the total copy count of the members lies in the allowed set.
+    With require_nonbip the graph must also be non-bipartite.
 
     The witness is the graph6-lexicographically smallest optimal graph and
     `explored` counts search nodes.
@@ -93,7 +103,10 @@ def _search(
 
     res = branch_and_bound(
         pair_count(n),
-        pack_constraints(constraints),
+        [
+            (sum((labeled_copies(n, f) for f in members), ()), allowed)
+            for members, allowed in constraints
+        ],
         leaf_ok=nonbipartite if require_nonbip else None,
         deadline=deadline,
     )
@@ -103,6 +116,28 @@ def _search(
     witness = graph_from_mask(n, res.mask)
     assert witness.edge_count() == res.value
     return OracleResult(res.value, witness, res.nodes, elapsed, True)
+
+
+def _reverified(
+    res: OracleResult, constraints, *, require_nonbip: bool = False
+) -> OracleResult:
+    """Re-check a witness of `_search` through the embeddings-based counter.
+
+    Each constraint's member copies are counted again with `count_copies`,
+    and non-bipartiteness with `check_bipartite` when asked.
+    """
+    w = res.witness
+    if w is None:
+        return res
+    for members, allowed in constraints:
+        total = sum(count_copies(w, f) for f in members)
+        if total not in allowed:
+            raise AssertionError(
+                f"witness re-verification failed: count {total} not in {sorted(allowed)}"
+            )
+    if require_nonbip and check_bipartite(w):
+        raise AssertionError("witness re-verification failed: bipartite")
+    return res
 
 
 def max_edges_with(
@@ -132,17 +167,6 @@ def max_edges_with(
     return OracleResult(witness.edge_count(), witness, res.explored, elapsed, True)
 
 
-def _verify_witness(res: OracleResult, members, allowed: set[int]) -> OracleResult:
-    """Independent re-check of a witness through the embeddings-based counter."""
-    if res.witness is not None:
-        total = sum(count_copies(res.witness, f) for f in members)
-        if total not in allowed:
-            raise AssertionError(
-                f"witness re-verification failed: count {total} not in {sorted(allowed)}"
-            )
-    return res
-
-
 def ex_oracle(n: int, fam: GraphFamily, **kw) -> OracleResult:
     """Turan-type maximum: most edges with zero copies across the family."""
     return exa_set_oracle(n, {0}, fam, **kw)
@@ -150,8 +174,6 @@ def ex_oracle(n: int, fam: GraphFamily, **kw) -> OracleResult:
 
 def exa_oracle(n: int, k: int, fam: GraphFamily, **kw) -> OracleResult:
     """Most edges with exactly k copies across the family (None if impossible)."""
-    if k < 0:
-        raise ValueError("copy count must be non-negative")
     return exa_set_oracle(n, {k}, fam, **kw)
 
 
@@ -164,15 +186,9 @@ def exa_set_oracle(
     allow_large: bool = False,
 ) -> OracleResult:
     """Most edges with total family copy count in the given finite set."""
-    allowed = set(counts)
-    if not allowed:
-        raise ValueError("count set must be non-empty")
-    members = fam.members(n)
-    placements = fam.placements(n)
-    res = _search(
-        n, [(placements, allowed)], deadline=_deadline(budget), allow_large=allow_large
-    )
-    return _verify_witness(res, members, allowed)
+    constraints = [(fam.members(n), set(counts))]
+    res = _search(n, constraints, deadline=_deadline(budget), allow_large=allow_large)
+    return _reverified(res, constraints)
 
 
 def exa_prime_oracle(
@@ -184,61 +200,45 @@ def exa_prime_oracle(
 ) -> OracleResult:
     """Max of |E(G)| - |E(F)| over G with exactly one copy of exactly one member.
 
-    The witness is the graph6-lexicographically smallest optimal G; `member`
-    carries the F it uniquely contains.  One budget covers all members; when
-    it runs out the result is incomplete with no value.
+    One search per member F: one copy of F, none of the others.  The witness
+    is the graph6-lexicographically smallest optimal G; `member` carries the F
+    it uniquely contains.  One budget covers all members; when it runs out
+    the result is incomplete with no value.
     """
     members = fam.members(n)
     t0 = time.monotonic()
     deadline = _deadline(budget)
     explored = 0
-    best: tuple[int, str, Graph, Graph] | None = None  # (objective, g6, G, F)
-    member_placements = [labeled_copies(n, f) for f in members]
-    for i, f in enumerate(members):
-        constraints = [(member_placements[i], {1})]
-        constraints += [
-            (member_placements[j], {0}) for j in range(len(members)) if j != i
-        ]
+    best = None  # ((-objective, witness graph6), search result, F, constraints)
+    for f in members:
+        constraints = [((g,), {1} if g == f else {0}) for g in members]
         res = _search(n, constraints, deadline=deadline, allow_large=allow_large)
         explored += res.explored
         if not res.complete:
             return OracleResult(None, None, explored, time.monotonic() - t0, False)
         if res.value is None:
             continue
-        objective = res.value - f.edge_count()
-        g6 = encode_graph6(res.witness)
-        if (
-            best is None
-            or objective > best[0]
-            or (objective == best[0] and g6 < best[1])
-        ):
-            best = (objective, g6, res.witness, f)
+        key = (f.edge_count() - res.value, encode_graph6(res.witness))
+        if best is None or key < best[0]:
+            best = (key, res, f, constraints)
     elapsed = time.monotonic() - t0
     if best is None:
         return OracleResult(None, None, explored, elapsed, True)
-    objective, _, witness, f = best
-    for j, other in enumerate(members):
-        want = 1 if other == f else 0
-        if count_copies(witness, other) != want:
-            raise AssertionError("exa-prime witness re-verification failed")
-    return OracleResult(objective, witness, explored, elapsed, True, member=f)
+    (neg_objective, _), res, f, constraints = best
+    witness = _reverified(res, constraints).witness
+    return OracleResult(-neg_objective, witness, explored, elapsed, True, member=f)
 
 
 def triangle_free_nonbipartite_oracle(
     n: int, *, budget: float | None = None, allow_large: bool = False
 ) -> OracleResult:
     """Max edges over triangle-free graphs on n vertices that are not bipartite."""
-    tri = labeled_copies(n, complete_graph(3))
+    constraints = [((complete_graph(3),), {0})]
     res = _search(
-        n, [(tri, {0})], require_nonbip=True,
+        n, constraints, require_nonbip=True,
         deadline=_deadline(budget), allow_large=allow_large,
     )
-    if res.witness is not None:
-        if count_copies(res.witness, complete_graph(3)) != 0:
-            raise AssertionError("witness re-verification failed: has a triangle")
-        if check_bipartite(res.witness):
-            raise AssertionError("witness re-verification failed: bipartite")
-    return res
+    return _reverified(res, constraints, require_nonbip=True)
 
 
 def zeta(f: Graph) -> int:

@@ -522,8 +522,6 @@ def suite_games(jobs: int = 1) -> dict:
         )
 
     # extremal-graph questioner (strategy of record at n = 5, pattern K_3)
-    from turantools.constructions import build_klikk
-
     g_ext = build_klikk(5, 3).graph
     strat = questioner_extremal_strategy(5, complete_graph(3), g_ext)
     fam_k3 = GraphFamily("clique:3")
@@ -605,14 +603,15 @@ SUITES = {
 }
 
 
+# the suites that take an n_max size bound
+SIZED_SUITES = ("klikk", "triangle", "classics", "mup-series")
+
+
 def run_suite(name: str, n_max: int | None = None, jobs: int = 1) -> dict:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick from {sorted(SUITES)}")
-    fn = SUITES[name]
-    kwargs = {"jobs": jobs}
-    if n_max is not None:
-        import inspect
-
-        if "n_max" in inspect.signature(fn).parameters:
-            kwargs["n_max"] = n_max
-    return fn(**kwargs)
+    if n_max is None:
+        return SUITES[name](jobs=jobs)
+    if name not in SIZED_SUITES:
+        raise ValueError(f"suite {name!r} takes no n_max; sized suites: {SIZED_SUITES}")
+    return SUITES[name](n_max=n_max, jobs=jobs)

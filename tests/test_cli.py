@@ -116,6 +116,24 @@ def test_usage_errors_exit_1():
     assert run_cli(["nonsense"]).returncode == 1
 
 
+def test_flags_a_command_does_not_honour_exit_1(capsys):
+    cases = [
+        (["oracle", "set", "--n", "4", "--counts", "-1", "--family", "clique:3"],
+         "copy counts are non-negative"),
+        (["game", "L", "--n", "4", "--family", "star", "--budget", "1"],
+         "unrecognized arguments: --budget"),
+        (["oracle", "zeta", "--pattern", K3_G6, "--budget", "0"],
+         "zeta takes no --budget"),
+        (["verify", "--suite", "sandwich", "--n-max", "3"], "takes no n_max"),
+        (["verify", "--suite", "all", "--n-max", "10"], "needs a single suite"),
+        (["oracle", "ex", "--n", "4", "--family", "clique:3", "--jobs", "2"],
+         "unrecognized arguments: --jobs"),
+    ]
+    for argv, message in cases:
+        assert cli.main(argv) == cli.EXIT_USAGE, argv
+        assert message in capsys.readouterr().err, argv
+
+
 def test_budget_exhaustion_exit_2():
     result = run_cli(
         ["oracle", "ex", "--n", "8", "--family", "clique:3", "--budget", "0"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from turantools import _scan, oracle
-from turantools._bnb import POLL_EVERY, branch_and_bound, pack_constraints
+from turantools._bnb import POLL_EVERY, branch_and_bound
 from turantools._scan import constraint_test, scan
 from turantools.counting import all_pattern_classes, count_copies, labeled_copies
 from turantools.families import GraphFamily, parse_family
@@ -73,8 +73,8 @@ def test_search_polls_its_deadline_every_poll_interval():
         polls.append(None)
         return float(len(polls))
 
-    pack = pack_constraints([(GraphFamily("clique:3").placements(8), {1})])
-    res = branch_and_bound(pair_count(8), pack, deadline=2.5, clock=clock)
+    constraints = [(GraphFamily("clique:3").placements(8), {1})]
+    res = branch_and_bound(pair_count(8), constraints, deadline=2.5, clock=clock)
     # polled before the search (1.0), after 2^16 nodes (2.0) and 2^17 (3.0)
     assert res.timed_out and res.value is None
     assert len(polls) == 3 and res.nodes == 2 * POLL_EVERY
@@ -166,6 +166,31 @@ def test_exa_prime_witness_is_graph6_minimal():
     assert best[1] == encode_graph6(res.witness)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: ex_oracle(5, GraphFamily("clique:3")),
+        lambda: exa_set_oracle(5, {0, 1}, GraphFamily("clique:3")),
+        lambda: exa_prime_oracle(4, parse_family("trees+clique:3")),
+        lambda: triangle_free_nonbipartite_oracle(5),
+    ],
+    ids=["ex", "set", "prime", "nonbip"],
+)
+def test_every_oracle_recounts_its_witness(monkeypatch, run):
+    # a counter that disagrees with the search must stop the result
+    monkeypatch.setattr(oracle, "count_copies", lambda host, pattern: 99)
+    with pytest.raises(AssertionError, match="^witness re-verification failed"):
+        run()
+
+
+def test_bad_count_sets_are_rejected():
+    fam = GraphFamily("clique:3")
+    with pytest.raises(ValueError, match="non-negative"):
+        exa_oracle(4, -1, fam)
+    with pytest.raises(ValueError, match="empty"):
+        exa_set_oracle(4, set(), fam)
+
+
 def test_witnesses_verify():
     res = exa_oracle(6, 2, GraphFamily("clique:3"))
     assert count_copies(res.witness, complete_graph(3)) == 2
@@ -173,10 +198,12 @@ def test_witnesses_verify():
 
 
 def _reference(n, constraints, require_nonbip=False, collect_min=True):
-    """The brute-force level scanner over the same packed constraints."""
-    feasible = constraint_test(
-        n, pack_constraints(constraints), require_nonbip=require_nonbip
-    )
+    """The brute-force level scanner over the same (members, allowed) constraints."""
+    placed = [
+        (tuple(p for f in members for p in labeled_copies(n, f)), allowed)
+        for members, allowed in constraints
+    ]
+    feasible = constraint_test(n, placed, require_nonbip=require_nonbip)
     return scan(pair_count(n), feasible, collect_min=collect_min)
 
 
@@ -186,7 +213,7 @@ def test_python_and_compiled_paths_agree():
     fam = GraphFamily("clique:3")
     for n in (4, 5):
         for k in (0, 1, 2):
-            ref = _reference(n, [(fam.placements(n), {k})], collect_min=False)
+            ref = _reference(n, [(fam.members(n), {k})], collect_min=False)
             pred = max_edges_with(n, lambda g: count_copies(g, complete_graph(3)) == k)
             assert ref.found and ref.mask.bit_count() == pred.value
             assert graph_from_mask(n, ref.mask) == pred.witness
@@ -213,12 +240,9 @@ _PATTERNS = all_pattern_classes(4)
 def test_engine_matches_reference_scanner(n, picks, allowed, per_member, require_nonbip):
     members = [_PATTERNS[i] for i in picks]
     if per_member:  # exa'-style: one constraint per member
-        constraints = [
-            (labeled_copies(n, f), set(a)) for f, a in zip(members, allowed)
-        ]
+        constraints = [((f,), set(a)) for f, a in zip(members, allowed)]
     else:
-        placements = sorted(p for f in members for p in labeled_copies(n, f))
-        constraints = [(tuple(placements), set(allowed[0]))]
+        constraints = [(tuple(members), set(allowed[0]))]
     got = _search(n, constraints, require_nonbip=require_nonbip)
     ref = _reference(n, constraints, require_nonbip)
     assert got.complete and not ref.timed_out
@@ -233,11 +257,9 @@ def test_engine_matches_reference_on_exa_prime_members():
     # the exact constraint lists exa' builds, one search per member
     fam = parse_family("star+clique:3")
     for n in (4, 5):
-        copies = [labeled_copies(n, f) for f in fam.members(n)]
-        for i in range(len(copies)):
-            constraints = [
-                (c, {1} if j == i else {0}) for j, c in enumerate(copies)
-            ]
+        members = fam.members(n)
+        for f in members:
+            constraints = [((g,), {1} if g == f else {0}) for g in members]
             got = _search(n, constraints)
             ref = _reference(n, constraints)
             assert got.value == ref.mask.bit_count()
@@ -311,7 +333,7 @@ def test_nonexistent_exact_count():
 
 def test_explored_counts_whole_space_when_nonexistent():
     # the reference scanner tests every labeled graph before reporting none
-    res = _reference(3, [(GraphFamily("clique:2").placements(3), {5})])
+    res = _reference(3, [(GraphFamily("clique:2").members(3), {5})])
     assert not res.found and res.explored == 2 ** pair_count(3)
     assert exa_oracle(3, 5, GraphFamily("clique:2")).value is None
 
