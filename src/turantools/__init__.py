@@ -26,7 +26,6 @@ from turantools.counting import (
 from turantools.families import GraphFamily, parse_family
 from turantools.oracle import (
     OracleResult,
-    max_edges_with,
     ex_oracle,
     exa_oracle,
     exa_set_oracle,

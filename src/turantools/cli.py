@@ -52,56 +52,6 @@ class _UsageError(Exception):
     pass
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="turantools", description=__doc__)
-    p.add_argument("--json", action="store_true", help="emit one JSON document")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("count", help="count pattern copies in a host graph")
-    c.add_argument("--host", required=True, help="host graph, graph6")
-    c.add_argument("--pattern", help="pattern graph, graph6")
-    c.add_argument("--family", help="family spec instead of a single pattern")
-
-    o = sub.add_parser("oracle", help="exhaustive extremal searches")
-    o.add_argument("mode", choices=["ex", "exa", "set", "prime", "zeta"])
-    o.add_argument("--n", type=int, help="ambient order")
-    o.add_argument("--k", type=int, help="target copy count (exa)")
-    o.add_argument("--counts", help="comma-separated allowed counts (set)")
-    o.add_argument("--family", help="family spec")
-    o.add_argument("--pattern", help="pattern graph6 (zeta)")
-    o.add_argument("--allow-large", action="store_true", help="lift the n<=8 guard")
-    o.add_argument("--budget", type=float, help="search budget, seconds (not zeta)")
-
-    b = sub.add_parser("construct", help="explicit extremal constructions")
-    b.add_argument("name", choices=["klikk", "triangle", "star", "kab"])
-    b.add_argument("--n", type=int)
-    b.add_argument("--r", type=int)
-    b.add_argument("--k", type=int)
-    b.add_argument("--a", type=int)
-    b.add_argument("--b", type=int)
-    b.add_argument("--parts", help="partition pair A1,..,Aa/B1,..,Bb (kab)")
-
-    m = sub.add_parser("mup", help="unique-partition maximum")
-    m.add_argument("--a", type=int)
-    m.add_argument("--b", type=int)
-    m.add_argument("--check", help="partition pair to test for uniqueness")
-    m.add_argument("--series", action="store_true", help="tabulate mup(n, c)")
-    m.add_argument("--c", type=int, help="fixed small target for --series")
-    m.add_argument("--n-max", type=int, default=30, help="series upper bound")
-
-    g = sub.add_parser("game", help="edge-query game values")
-    g.add_argument("mode", choices=["L", "x", "xprime", "sweep"])
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--family", help="family spec")
-    g.add_argument("--max-pattern-order", type=int, default=4)
-
-    v = sub.add_parser("verify", help="named verification suites")
-    v.add_argument("--suite", required=True, help="|".join(sorted(SUITES)) + "|all")
-    v.add_argument("--n-max", type=int, help="size bound (single sized suites only)")
-    v.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
-    return p
-
-
 def _emit(doc: dict, as_json: bool, text_lines: list[str]) -> None:
     if as_json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -122,8 +72,6 @@ def _parse_parts(text: str) -> PartitionPair:
 
 def _cmd_count(args) -> int:
     host = decode_graph6(args.host)
-    if bool(args.pattern) == bool(args.family):
-        raise _UsageError("give exactly one of --pattern / --family")
     if args.pattern:
         value = count_copies(host, decode_graph6(args.pattern))
     else:
@@ -134,26 +82,12 @@ def _cmd_count(args) -> int:
 
 def _cmd_oracle(args) -> int:
     kw = {"budget": args.budget, "allow_large": args.allow_large}
-    if args.mode == "zeta":
-        if not args.pattern:
-            raise _UsageError("zeta needs --pattern")
-        if args.budget is not None:
-            raise _UsageError("zeta takes no --budget")
-        value = zeta(decode_graph6(args.pattern))
-        _emit({"value": value}, args.json, [f"zeta = {value}"])
-        return EXIT_OK
-    if args.n is None or not args.family:
-        raise _UsageError("oracle needs --n and --family")
     fam = parse_family(args.family)
     if args.mode == "ex":
         res = ex_oracle(args.n, fam, **kw)
     elif args.mode == "exa":
-        if args.k is None:
-            raise _UsageError("exa needs --k")
         res = exa_oracle(args.n, args.k, fam, **kw)
     elif args.mode == "set":
-        if not args.counts:
-            raise _UsageError("set needs --counts")
         counts = {int(x) for x in args.counts.split(",")}
         res = exa_set_oracle(args.n, counts, fam, **kw)
     else:
@@ -169,29 +103,24 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK if res.complete else EXIT_UNSOLVED
 
 
-def _cmd_construct(args) -> int:
-    if args.name == "klikk":
-        if args.n is None or args.r is None:
-            raise _UsageError("klikk needs --n and --r")
-        rep = build_klikk(args.n, args.r)
-    elif args.name == "triangle":
-        if args.n is None or args.k is None:
-            raise _UsageError("triangle needs --n and --k")
-        rep = build_triangle_k(args.n, args.k)
-    elif args.name == "star":
-        if None in (args.n, args.r, args.k):
-            raise _UsageError("star needs --n, --r and --k")
-        rep = build_star_k(args.n, args.r, args.k)
+def _cmd_zeta(args) -> int:
+    value = zeta(decode_graph6(args.pattern))
+    _emit({"value": value}, args.json, [f"zeta = {value}"])
+    return EXIT_OK
+
+
+def _build_kab(args):
+    if args.parts:
+        pp = _parse_parts(args.parts)
     else:
-        if args.a is None or args.b is None:
-            raise _UsageError("kab needs --a and --b")
-        if args.parts:
-            pp = _parse_parts(args.parts)
-        else:
-            pp = mup(args.a, args.b).witness
-            if pp is None:
-                raise _UsageError("no unique-partition witness exists for (1,1)")
-        rep = build_unique_kab(args.a, args.b, pp)
+        pp = mup(args.a, args.b).witness
+        if pp is None:
+            raise _UsageError("no unique-partition witness exists for (1,1)")
+    return build_unique_kab(args.a, args.b, pp)
+
+
+def _cmd_construct(args) -> int:
+    rep = args.build(args)
     doc = rep.to_json()
     lines = [
         doc["graph6"],
@@ -205,9 +134,11 @@ def _cmd_construct(args) -> int:
 
 def _cmd_mup(args) -> int:
     if args.series:
+        if args.a is not None or args.b is not None:
+            raise _UsageError("--series takes no --a / --b")
         if args.c is None:
             raise _UsageError("--series needs --c")
-        rep = mup_series_check(args.c, args.n_max)
+        rep = mup_series_check(args.c, 30 if args.n_max is None else args.n_max)
         lines = [
             "n,c,mup,witness,delta_vs_formula",
         ]
@@ -219,6 +150,8 @@ def _cmd_mup(args) -> int:
         lines.append(f"step_holds_beyond_n = {rep['last_step_failure']}")
         _emit(rep, args.json, lines)
         return EXIT_OK
+    if args.c is not None or args.n_max is not None:
+        raise _UsageError("--c and --n-max need --series")
     if args.a is None or args.b is None:
         raise _UsageError("mup needs --a and --b (or --series)")
     if args.check:
@@ -241,22 +174,7 @@ def _cmd_mup(args) -> int:
 
 
 def _cmd_game(args) -> int:
-    if args.mode == "sweep":
-        rep = sweep_patterns(args.n, args.max_pattern_order)
-        lines = [
-            f"{r['pattern_graph6']}: x={r['x']} gap_x={r['gap_x']} "
-            f"xprime={r['xprime']} gap_xprime={r['gap_xprime']}"
-            for r in rep["rows"]
-        ]
-        lines.append(f"strict_gap_x_found = {rep['strict_gap_x_found']}")
-        lines.append(f"strict_gap_xprime_found = {rep['strict_gap_xprime_found']}")
-        _emit(rep, args.json, lines)
-        return EXIT_OK
-    if not args.family:
-        raise _UsageError("game needs --family")
-    fam = parse_family(args.family)
-    solver = {"L": solve_L, "x": solve_x, "xprime": solve_x_prime}[args.mode]
-    res = solver(args.n, fam)
+    res = args.solve(args.n, parse_family(args.family))
     doc = res.to_json()
     lines = [
         f"value = {res.value if res.value is not None else 'unsolved'}",
@@ -267,7 +185,22 @@ def _cmd_game(args) -> int:
     return EXIT_OK if res.complete else EXIT_UNSOLVED
 
 
+def _cmd_sweep(args) -> int:
+    rep = sweep_patterns(args.n, args.max_pattern_order)
+    lines = [
+        f"{r['pattern_graph6']}: x={r['x']} gap_x={r['gap_x']} "
+        f"xprime={r['xprime']} gap_xprime={r['gap_xprime']}"
+        for r in rep["rows"]
+    ]
+    lines.append(f"strict_gap_x_found = {rep['strict_gap_x_found']}")
+    lines.append(f"strict_gap_xprime_found = {rep['strict_gap_xprime_found']}")
+    _emit(rep, args.json, lines)
+    return EXIT_OK
+
+
 def _cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise _UsageError("--jobs must be at least 1")
     if args.suite == "all" and args.n_max is not None:
         raise _UsageError("--n-max needs a single suite, not all")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
@@ -283,19 +216,84 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if doc["ok"] else EXIT_VERIFY_FAILED
 
 
+def _build_parser() -> _Parser:
+    p = _Parser(prog="turantools", description=__doc__)
+    p.add_argument("--json", action="store_true", help="emit one JSON document")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    c = sub.add_parser("count", help="count pattern copies in a host graph")
+    c.add_argument("--host", required=True, help="host graph, graph6")
+    what = c.add_mutually_exclusive_group(required=True)
+    what.add_argument("--pattern", help="pattern graph, graph6")
+    what.add_argument("--family", help="family spec instead of a single pattern")
+    c.set_defaults(run=_cmd_count)
+
+    o = sub.add_parser("oracle", help="exhaustive extremal searches")
+    modes = o.add_subparsers(dest="mode", required=True)
+    for mode in ("ex", "exa", "set", "prime"):
+        s = modes.add_parser(mode)
+        s.add_argument("--n", type=int, required=True, help="ambient order")
+        s.add_argument("--family", required=True, help="family spec")
+        s.add_argument("--allow-large", action="store_true", help="lift the n<=8 guard")
+        s.add_argument("--budget", type=float, help="search budget, seconds")
+        s.set_defaults(run=_cmd_oracle)
+    modes.choices["exa"].add_argument("--k", type=int, required=True, help="copy count")
+    modes.choices["set"].add_argument(
+        "--counts", required=True, help="comma-separated allowed counts"
+    )
+    z = modes.add_parser("zeta")
+    z.add_argument("--pattern", required=True, help="pattern graph6")
+    z.set_defaults(run=_cmd_zeta)
+
+    b = sub.add_parser("construct", help="explicit extremal constructions")
+    names = b.add_subparsers(dest="name", required=True)
+    for name, flags, build in (
+        ("klikk", "nr", lambda a: build_klikk(a.n, a.r)),
+        ("triangle", "nk", lambda a: build_triangle_k(a.n, a.k)),
+        ("star", "nrk", lambda a: build_star_k(a.n, a.r, a.k)),
+        ("kab", "ab", _build_kab),
+    ):
+        s = names.add_parser(name)
+        for flag in flags:
+            s.add_argument(f"--{flag}", type=int, required=True)
+        s.set_defaults(run=_cmd_construct, build=build)
+    names.choices["kab"].add_argument("--parts", help="partition pair A1,..,Aa/B1,..,Bb")
+
+    m = sub.add_parser("mup", help="unique-partition maximum")
+    m.add_argument("--a", type=int)
+    m.add_argument("--b", type=int)
+    path = m.add_mutually_exclusive_group()
+    path.add_argument("--check", help="partition pair to test for uniqueness")
+    path.add_argument("--series", action="store_true", help="tabulate mup(n, c)")
+    m.add_argument("--c", type=int, help="fixed small target for --series")
+    m.add_argument("--n-max", type=int, help="series upper bound (default 30)")
+    m.set_defaults(run=_cmd_mup)
+
+    g = sub.add_parser("game", help="edge-query game values")
+    modes = g.add_subparsers(dest="mode", required=True)
+    for mode, solve in (("L", solve_L), ("x", solve_x), ("xprime", solve_x_prime)):
+        s = modes.add_parser(mode)
+        s.add_argument("--n", type=int, required=True)
+        s.add_argument("--family", required=True, help="family spec")
+        s.set_defaults(run=_cmd_game, solve=solve)
+    s = modes.add_parser("sweep")
+    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--max-pattern-order", type=int, default=4)
+    s.set_defaults(run=_cmd_sweep)
+
+    v = sub.add_parser("verify", help="named verification suites")
+    v.add_argument("--suite", required=True, help="|".join(sorted(SUITES)) + "|all")
+    v.add_argument("--n-max", type=int, help="size bound (single sized suites only)")
+    v.add_argument("--jobs", type=int, default=1, help="sweep workers, >= 1")
+    v.set_defaults(run=_cmd_verify)
+    return p
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        handler = {
-            "count": _cmd_count,
-            "oracle": _cmd_oracle,
-            "construct": _cmd_construct,
-            "mup": _cmd_mup,
-            "game": _cmd_game,
-            "verify": _cmd_verify,
-        }[args.command]
-        return handler(args)
+        return args.run(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

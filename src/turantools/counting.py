@@ -3,8 +3,7 @@
 A "copy" is an edge subset of the host whose graph is isomorphic to the
 pattern, after discarding the pattern's isolated vertices.  Copies are counted
 as injective adjacency-preserving embeddings divided by the pattern's
-automorphism count; the division must be exact and is asserted.  A direct
-edge-subset enumeration oracle is kept alongside for cross-checking.
+automorphism count; the division must be exact and is asserted.
 """
 
 from __future__ import annotations
@@ -104,21 +103,6 @@ def count_copies(host: Graph, pattern: Graph) -> int:
     return copies
 
 
-def count_copies_bruteforce(host: Graph, pattern: Graph) -> int:
-    """Oracle twin of count_copies: enumerate edge subsets, test isomorphism."""
-    f = strip_isolated(pattern)
-    if f.n == 0:
-        return 1
-    k = f.edge_count()
-    hits = 0
-    host_edges = host.edges()
-    for subset in combinations(host_edges, k):
-        sub = strip_isolated(make_graph(host.n, subset))
-        if are_isomorphic(sub, f):
-            hits += 1
-    return hits
-
-
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False
@@ -136,12 +120,17 @@ def count_family(host: Graph, fam, n: int | None = None) -> int:
     if hasattr(fam, "members"):
         members = fam.members(host.n if n is None else n)
     else:
-        members = list(fam)
-    stripped = [strip_isolated(m) for m in members]
+        members = distinct_patterns(fam)
+    return sum(count_copies(host, m) for m in members)
+
+
+def distinct_patterns(graphs) -> tuple[Graph, ...]:
+    """The graphs with isolated vertices stripped; ValueError if two are isomorphic."""
+    stripped = tuple(strip_isolated(g) for g in graphs)
     for a, b in combinations(stripped, 2):
         if are_isomorphic(a, b):
             raise ValueError("family members must be pairwise non-isomorphic")
-    return sum(count_copies(host, m) for m in stripped)
+    return stripped
 
 
 @lru_cache(maxsize=None)

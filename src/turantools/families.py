@@ -11,7 +11,7 @@ import heapq
 from functools import lru_cache
 from itertools import product
 
-from turantools.counting import are_isomorphic, labeled_copies, strip_isolated
+from turantools.counting import distinct_patterns, labeled_copies
 from turantools.graphs import (
     Graph,
     complete_bipartite,
@@ -127,13 +127,7 @@ class GraphFamily:
         A member larger than the ambient order is allowed; it simply has no
         placements there.
         """
-        raw = self._raw_members(n)
-        stripped = [strip_isolated(g) for g in raw]
-        for i, a in enumerate(stripped):
-            for b in stripped[i + 1:]:
-                if are_isomorphic(a, b):
-                    raise ValueError("family members must be pairwise non-isomorphic")
-        return tuple(stripped)
+        return distinct_patterns(self._raw_members(n))
 
     def _raw_members(self, n: int) -> tuple[Graph, ...]:
         if self._graphs is not None:

@@ -331,35 +331,6 @@ def questioner_extremal_strategy(n: int, pattern: Graph, g_ext: Graph):
     return questioner
 
 
-def matching_first_questioner(n: int):
-    """Star-family questioner: query a matching, then one probe on a YES pair."""
-
-    def questioner(state: GameState) -> Edge | None:
-        cons = consistent_placements(state)
-        if len(cons) == 1:
-            return None
-        asked = state.asked()
-        if not state.yes:
-            for i in range(0, n - 1, 2):
-                q = (i, i + 1)
-                if q not in asked:
-                    return q
-        else:
-            u, v = state.yes[0]
-            for w in range(n):
-                if w in (u, v):
-                    continue
-                q = (min(u, w), max(u, w))
-                if q not in asked:
-                    return q
-        for q in slot_pairs(n):
-            if q not in asked:
-                return q
-        raise AssertionError("all pairs asked yet multiple placements remain")
-
-    return questioner
-
-
 def strategy_worst_case(n: int, fam: GraphFamily, questioner) -> int:
     """Max total queries of a deterministic questioner over all valid adversaries."""
     masks = fam.placements(n)

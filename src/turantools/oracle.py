@@ -13,8 +13,7 @@ branch-and-bound search of `_bnb`, which certifies the maximum by cutting only
 branches that cannot beat it; the witness is the graph6-lexicographically
 smallest optimal graph.  `_reverified` re-counts a returned witness against
 the same constraint list through the independent embeddings-based copy
-counter before the result is handed back.  `max_edges_with` runs an
-arbitrary predicate through the reference level scanner of `_scan`.
+counter before the result is handed back.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from turantools._bnb import branch_and_bound
-from turantools._scan import scan
 from turantools.counting import count_copies, labeled_copies, strip_isolated
 from turantools.families import GraphFamily
 from turantools.graphs import (
@@ -138,33 +136,6 @@ def _reverified(
     if require_nonbip and check_bipartite(w):
         raise AssertionError("witness re-verification failed: bipartite")
     return res
-
-
-def max_edges_with(
-    n: int,
-    pred,
-    *,
-    budget: float | None = None,
-    allow_large: bool = False,
-) -> OracleResult:
-    """Generic engine: max edges over all graphs on n vertices with pred(G) true.
-
-    Runs the reference level scanner: levels downward from C(n,2), the first
-    feasible graph in Gosper order as the witness, and `explored` counting
-    every graph tested.
-    """
-    _check_order(n, allow_large)
-    t0 = time.monotonic()
-    res = scan(
-        pair_count(n),
-        lambda g: pred(graph_from_mask(n, g)),
-        deadline=_deadline(budget),
-    )
-    elapsed = time.monotonic() - t0
-    if not res.found:
-        return OracleResult(None, None, res.explored, elapsed, not res.timed_out)
-    witness = graph_from_mask(n, res.mask)
-    return OracleResult(witness.edge_count(), witness, res.explored, elapsed, True)
 
 
 def ex_oracle(n: int, fam: GraphFamily, **kw) -> OracleResult:

@@ -56,7 +56,8 @@ def _pmap(fn, items, jobs: int):
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool may start every worker up front, so never more than there are items
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
@@ -189,6 +190,7 @@ def suite_classics(n_max: int = 8, jobs: int = 1) -> dict:
 
 _SANDWICH_PATTERNS = {
     "K3": complete_graph(3),
+    "K4": complete_graph(4),
     "C4": cycle_graph(4),
     "C5": cycle_graph(5),
 }
@@ -220,7 +222,7 @@ def _sandwich_row(args: tuple[str, int, int]) -> dict:
 
 def _prop23_row(args: tuple[str, int]) -> dict:
     name, n = args
-    pattern = {"K3": complete_graph(3), "K4": complete_graph(4), "C4": cycle_graph(4)}[name]
+    pattern = _SANDWICH_PATTERNS[name]
     fam = GraphFamily.explicit((pattern,), label=name)
     v = pattern.n
     z = zeta(pattern)
@@ -331,33 +333,18 @@ def _kab_oracle_row(args: tuple[int, int]) -> dict:
 def suite_kab(jobs: int = 1) -> dict:
     worked = [
         {
-            "a": 6,
-            "b": 53,
-            "pair": "3,3/13,13,13,13,1",
-            "unique": is_unique_partition(6, 53, PartitionPair((3, 3), (13, 13, 13, 13, 1))),
-            "expected": True,
-        },
-        {
-            "a": 6,
-            "b": 53,
-            "pair": "3,3/50,3",
-            "unique": is_unique_partition(6, 53, PartitionPair((3, 3), (50, 3))),
-            "expected": False,
-        },
-        {
-            "a": 6,
-            "b": 6,
-            "pair": "3,3/2,2,2",
-            "unique": is_unique_partition(6, 6, PartitionPair((3, 3), (2, 2, 2))),
-            "expected": True,
-        },
-        {
-            "a": 6,
-            "b": 6,
-            "pair": "3,3/3,3",
-            "unique": is_unique_partition(6, 6, PartitionPair((3, 3), (3, 3))),
-            "expected": False,
-        },
+            "a": a,
+            "b": b,
+            "pair": str(pp),
+            "unique": is_unique_partition(a, b, pp),
+            "expected": expected,
+        }
+        for a, b, pp, expected in (
+            (6, 53, PartitionPair((3, 3), (13, 13, 13, 13, 1)), True),
+            (6, 53, PartitionPair((3, 3), (50, 3)), False),
+            (6, 6, PartitionPair((3, 3), (2, 2, 2)), True),
+            (6, 6, PartitionPair((3, 3), (3, 3)), False),
+        )
     ]
     worked_ok = all(r["unique"] == r["expected"] for r in worked)
 

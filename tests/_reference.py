@@ -1,27 +1,28 @@
-"""Reference level scanner: the brute-force cross-check for the search engine.
+"""Brute-force references the tests check the package against; none runs in it.
 
 A "level" is the set of labeled graphs on n vertices with a fixed edge count
-m.  The scanner enumerates the smaller of the present/missing edge sides as
-d-subsets of the M = C(n,2) edge slots in Gosper (colex-ascending) order and
-tests each graph with a mask predicate.  `scan` walks the levels downward from
-M and stops at the first level holding a feasible graph, so it certifies a
-maximum by exhausting every denser level.
+m.  The level scanner enumerates the smaller of the present/missing edge sides
+as d-subsets of the M = C(n,2) edge slots in Gosper (colex-ascending) order
+and tests each graph with a mask predicate.  `scan` walks the levels downward
+from M and stops at the first level holding a feasible graph, so it certifies
+a maximum by exhausting every denser level.  Scan modes: stop at the first
+feasible graph, or sweep the whole level keeping the feasible graph whose
+bit-reversed edge mask is smallest (the graph6-lexicographically smallest).
 
-No production search runs here: the oracles use the branch-and-bound engine in
-`_bnb`.  The scanner backs the predicate engine `oracle.max_edges_with` and the
-tests that check the engine against it.
-
-Scan modes: stop at the first feasible graph, or sweep the whole level
-keeping the feasible graph whose bit-reversed edge mask is smallest (that is
-the graph6-lexicographically smallest witness).
+`count_copies_bruteforce` counts copies by enumerating edge subsets.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
+from time import monotonic as _result_clock  # apart from `time`, which tests patch
 
-from turantools.graphs import slot_pairs
+from turantools.counting import are_isomorphic, labeled_copies, strip_isolated
+from turantools.game import consistent_placements
+from turantools.graphs import graph_from_mask, make_graph, pair_count, slot_pairs
+from turantools.oracle import OracleResult, _check_order, _deadline
 
 # graphs between deadline checks: `max_edges_with` predicates that count
 # copies cost about 0.15 ms a graph, so about 0.6 s between checks
@@ -169,3 +170,84 @@ def scan(
         if res.timed_out or res.found:
             return LevelResult(res.found, res.mask, explored, res.timed_out)
     return LevelResult(False, None, explored, False)
+
+
+def scan_constraints(n, constraints, require_nonbip=False, collect_min=True):
+    """The level scanner over the oracles' (members, allowed) constraints."""
+    placed = [
+        (tuple(p for f in members for p in labeled_copies(n, f)), allowed)
+        for members, allowed in constraints
+    ]
+    feasible = constraint_test(n, placed, require_nonbip=require_nonbip)
+    return scan(pair_count(n), feasible, collect_min=collect_min)
+
+
+def max_edges_with(
+    n: int,
+    pred,
+    *,
+    budget: float | None = None,
+    allow_large: bool = False,
+) -> OracleResult:
+    """Max edges over all graphs on n vertices with pred(G) true.
+
+    Runs the level scanner: levels downward from C(n,2), the first feasible
+    graph in Gosper order as the witness, and `explored` counting every
+    graph tested.
+    """
+    _check_order(n, allow_large)
+    t0 = _result_clock()
+    res = scan(
+        pair_count(n),
+        lambda g: pred(graph_from_mask(n, g)),
+        deadline=_deadline(budget),
+    )
+    elapsed = _result_clock() - t0
+    if not res.found:
+        return OracleResult(None, None, res.explored, elapsed, not res.timed_out)
+    witness = graph_from_mask(n, res.mask)
+    return OracleResult(witness.edge_count(), witness, res.explored, elapsed, True)
+
+
+def count_copies_bruteforce(host, pattern) -> int:
+    """Oracle twin of count_copies: enumerate edge subsets, test isomorphism."""
+    f = strip_isolated(pattern)
+    if f.n == 0:
+        return 1
+    k = f.edge_count()
+    hits = 0
+    host_edges = host.edges()
+    for subset in combinations(host_edges, k):
+        sub = strip_isolated(make_graph(host.n, subset))
+        if are_isomorphic(sub, f):
+            hits += 1
+    return hits
+
+
+def matching_first_questioner(n: int):
+    """Star-family questioner: query a matching, then one probe on a YES pair."""
+
+    def questioner(state):
+        cons = consistent_placements(state)
+        if len(cons) == 1:
+            return None
+        asked = state.asked()
+        if not state.yes:
+            for i in range(0, n - 1, 2):
+                q = (i, i + 1)
+                if q not in asked:
+                    return q
+        else:
+            u, v = state.yes[0]
+            for w in range(n):
+                if w in (u, v):
+                    continue
+                q = (min(u, w), max(u, w))
+                if q not in asked:
+                    return q
+        for q in slot_pairs(n):
+            if q not in asked:
+                return q
+        raise AssertionError("all pairs asked yet multiple placements remain")
+
+    return questioner

@@ -1,8 +1,9 @@
+import argparse
 import json
 import subprocess
 import sys
 
-from turantools import cli, oracle
+from turantools import cli, oracle, verify
 from turantools.graphs import complete_graph, encode_graph6
 
 K4_G6 = encode_graph6(complete_graph(4))
@@ -118,20 +119,93 @@ def test_usage_errors_exit_1():
 
 def test_flags_a_command_does_not_honour_exit_1(capsys):
     cases = [
-        (["oracle", "set", "--n", "4", "--counts", "-1", "--family", "clique:3"],
-         "copy counts are non-negative"),
-        (["game", "L", "--n", "4", "--family", "star", "--budget", "1"],
-         "unrecognized arguments: --budget"),
-        (["oracle", "zeta", "--pattern", K3_G6, "--budget", "0"],
-         "zeta takes no --budget"),
-        (["verify", "--suite", "sandwich", "--n-max", "3"], "takes no n_max"),
-        (["verify", "--suite", "all", "--n-max", "10"], "needs a single suite"),
-        (["oracle", "ex", "--n", "4", "--family", "clique:3", "--jobs", "2"],
-         "unrecognized arguments: --jobs"),
+        ("oracle set --n 4 --counts -1 --family clique:3", "copy counts are non-negative"),
+        ("game L --n 4 --family star --budget 1", "unrecognized arguments: --budget"),
+        (f"oracle zeta --pattern {K3_G6} --budget 0", "unrecognized arguments: --budget 0"),
+        ("verify --suite sandwich --n-max 3", "takes no n_max"),
+        ("verify --suite all --n-max 10", "needs a single suite"),
+        ("oracle ex --n 4 --family clique:3 --jobs 2", "unrecognized arguments: --jobs"),
+        ("oracle ex --n 5 --family clique:3 --k 7 --counts 9", "unrecognized arguments: --k 7"),
+        ("oracle zeta --pattern Bw --allow-large --n 3", "unrecognized arguments: --allow"),
+        ("construct klikk --n 7 --r 3 --k 5 --parts 1/1", "unrecognized arguments: --k 5"),
+        ("game L --n 4 --family star --max-pattern-order 9", "unrecognized arguments: --max"),
+        ("game sweep --n 4 --family star", "unrecognized arguments: --family star"),
+        ("mup --a 2 --b 2 --c 5 --n-max 3", "--c and --n-max need --series"),
+        ("mup --a 2 --b 2 --check 1,1/2 --series --c 1", "not allowed with argument --check"),
+        ("mup --series --c 1 --a 2", "--series takes no --a / --b"),
+        ("verify --suite zeta --jobs 0", "--jobs must be at least 1"),
     ]
-    for argv, message in cases:
-        assert cli.main(argv) == cli.EXIT_USAGE, argv
-        assert message in capsys.readouterr().err, argv
+    for line, message in cases:
+        assert cli.main(line.split()) == cli.EXIT_USAGE, line
+        assert message in capsys.readouterr().err, line
+
+
+def _sub_parsers(parser: argparse.ArgumentParser) -> dict:
+    return next(
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+
+
+def _flags(parser: argparse.ArgumentParser) -> set[str]:
+    return {f for a in parser._actions for f in a.option_strings} - {"-h", "--help"}
+
+
+# one valid command line per mode; the walk below appends a sibling's flag to it
+_MODE_ARGS = {
+    ("oracle", "ex"): ["--n", "4", "--family", "clique:3"],
+    ("oracle", "exa"): ["--n", "4", "--k", "1", "--family", "clique:3"],
+    ("oracle", "set"): ["--n", "4", "--counts", "0,1", "--family", "clique:3"],
+    ("oracle", "prime"): ["--n", "4", "--family", "clique:3"],
+    ("oracle", "zeta"): ["--pattern", K3_G6],
+    ("construct", "klikk"): ["--n", "7", "--r", "3"],
+    ("construct", "triangle"): ["--n", "7", "--k", "2"],
+    ("construct", "star"): ["--n", "6", "--r", "3", "--k", "2"],
+    ("construct", "kab"): ["--a", "2", "--b", "2"],
+    ("game", "L"): ["--n", "4", "--family", "star"],
+    ("game", "x"): ["--n", "4", "--family", "star"],
+    ("game", "xprime"): ["--n", "4", "--family", "star"],
+    ("game", "sweep"): ["--n", "4"],
+}
+
+
+def test_each_mode_rejects_the_flags_only_its_siblings_declare(capsys):
+    walked = set()
+    for command, command_parser in _sub_parsers(cli._build_parser()).items():
+        if not any(isinstance(a, argparse._SubParsersAction)
+                   for a in command_parser._actions):
+            continue
+        modes = _sub_parsers(command_parser)
+        for mode, mode_parser in modes.items():
+            walked.add((command, mode))
+            own = _flags(mode_parser)
+            foreign = set().union(*map(_flags, modes.values())) - own
+            for flag in sorted(foreign):
+                argv = [command, mode, *_MODE_ARGS[command, mode], flag, "1"]
+                assert cli.main(argv) == cli.EXIT_USAGE, argv
+                assert "unrecognized arguments: " + flag in capsys.readouterr().err, argv
+    assert walked == set(_MODE_ARGS)
+
+
+def test_jobs_start_at_most_one_worker_per_item(monkeypatch):
+    started = []
+
+    class FakePool:  # records the pool size and runs in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    assert verify._pmap(abs, [-1, -2, -3], 100_000) == [1, 2, 3]
+    assert verify._pmap(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert started == [3, 2]
 
 
 def test_budget_exhaustion_exit_2():

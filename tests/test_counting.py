@@ -3,12 +3,13 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _reference import count_copies_bruteforce
+
 from turantools.counting import (
     all_pattern_classes,
     are_isomorphic,
     automorphism_count,
     count_copies,
-    count_copies_bruteforce,
     count_family,
     labeled_copies,
     strip_isolated,

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from _reference import matching_first_questioner
 from turantools.constructions import build_klikk
 from turantools.errors import AdversaryError
 from turantools.families import GraphFamily, parse_family
@@ -9,7 +10,6 @@ from turantools.game import (
     GameState,
     adversary_no_first,
     consistent_placements,
-    matching_first_questioner,
     placements,
     questioner_extremal_strategy,
     simulate,

@@ -4,10 +4,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from turantools import _scan, oracle
+import _reference
+from _reference import max_edges_with, scan_constraints
+from turantools import oracle
 from turantools._bnb import POLL_EVERY, branch_and_bound
-from turantools._scan import constraint_test, scan
-from turantools.counting import all_pattern_classes, count_copies, labeled_copies
+from turantools.counting import all_pattern_classes, count_copies
 from turantools.families import GraphFamily, parse_family
 from turantools.graphs import (
     check_bipartite,
@@ -27,7 +28,6 @@ from turantools.oracle import (
     exa_oracle,
     exa_prime_oracle,
     exa_set_oracle,
-    max_edges_with,
     triangle_free_nonbipartite_oracle,
     zeta,
 )
@@ -87,13 +87,13 @@ def test_predicate_engine_polls_its_deadline_every_poll_interval(monkeypatch):
         polls.append(None)
         return time.monotonic() if len(polls) < 7 else float("inf")
 
-    monkeypatch.setattr(_scan, "time", SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(_reference, "time", SimpleNamespace(monotonic=monotonic))
     res = max_edges_with(8, lambda g: False, budget=60)
     # one poll before each of the levels 28..24 (1, 28, 378, 3276 and 20475
     # graphs), then polls after 4096 and 8192 graphs of level 24
     assert not res.complete and res.value is None
     assert len(polls) == 7
-    assert res.explored == 1 + 28 + 378 + 3276 + 2 * _scan.POLL_EVERY
+    assert res.explored == 1 + 28 + 378 + 3276 + 2 * _reference.POLL_EVERY
 
 
 def test_ex_examples():
@@ -197,23 +197,13 @@ def test_witnesses_verify():
     assert res.witness.edge_count() == res.value
 
 
-def _reference(n, constraints, require_nonbip=False, collect_min=True):
-    """The brute-force level scanner over the same (members, allowed) constraints."""
-    placed = [
-        (tuple(p for f in members for p in labeled_copies(n, f)), allowed)
-        for members, allowed in constraints
-    ]
-    feasible = constraint_test(n, placed, require_nonbip=require_nonbip)
-    return scan(pair_count(n), feasible, collect_min=collect_min)
-
-
 def test_python_and_compiled_paths_agree():
     # the reference scanner's placement test against the predicate engine's
     # embeddings counter: same order, same first hit, same graphs tested
     fam = GraphFamily("clique:3")
     for n in (4, 5):
         for k in (0, 1, 2):
-            ref = _reference(n, [(fam.members(n), {k})], collect_min=False)
+            ref = scan_constraints(n, [(fam.members(n), {k})], collect_min=False)
             pred = max_edges_with(n, lambda g: count_copies(g, complete_graph(3)) == k)
             assert ref.found and ref.mask.bit_count() == pred.value
             assert graph_from_mask(n, ref.mask) == pred.witness
@@ -244,7 +234,7 @@ def test_engine_matches_reference_scanner(n, picks, allowed, per_member, require
     else:
         constraints = [(tuple(members), set(allowed[0]))]
     got = _search(n, constraints, require_nonbip=require_nonbip)
-    ref = _reference(n, constraints, require_nonbip)
+    ref = scan_constraints(n, constraints, require_nonbip)
     assert got.complete and not ref.timed_out
     if not ref.found:
         assert got.value is None and got.witness is None
@@ -261,7 +251,7 @@ def test_engine_matches_reference_on_exa_prime_members():
         for f in members:
             constraints = [((g,), {1} if g == f else {0}) for g in members]
             got = _search(n, constraints)
-            ref = _reference(n, constraints)
+            ref = scan_constraints(n, constraints)
             assert got.value == ref.mask.bit_count()
             assert got.witness == graph_from_mask(n, ref.mask)
 
@@ -333,7 +323,7 @@ def test_nonexistent_exact_count():
 
 def test_explored_counts_whole_space_when_nonexistent():
     # the reference scanner tests every labeled graph before reporting none
-    res = _reference(3, [(GraphFamily("clique:2").members(3), {5})])
+    res = scan_constraints(3, [(GraphFamily("clique:2").members(3), {5})])
     assert not res.found and res.explored == 2 ** pair_count(3)
     assert exa_oracle(3, 5, GraphFamily("clique:2")).value is None
 
