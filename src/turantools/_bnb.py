@@ -8,14 +8,18 @@ the placements that use slot s and `ends[s]` those whose highest slot is s, so
 including s completes the alive placements in `ends[s]` and excluding s kills
 those in `contains[s]`.
 
-A branch is cut when a constraint has more completed placements than its
-largest allowed count, fewer alive ones than its smallest, or when its edges
-plus the undecided slots cannot reach the target.  Membership in the allowed
-sets and any extra predicate (non-bipartiteness) are checked at the leaves.
+A child is entered only while its edges plus the undecided slots can beat the
+best feasible leaf found so far, and not when a constraint would have more
+completed placements than its largest allowed count or fewer alive ones than
+its smallest.  Membership in the allowed sets and any extra predicate
+(non-bipartiteness) are checked at the leaves.
 
-Two passes: "include first" finds the optimum m*, then "exclude first" at
-level m* stops at the first feasible leaf, which is the graph6-lexicographically
-smallest optimal graph (slot 0 is the first graph6 bit).
+One walk, exclude first, keeps the best feasible leaf and replaces it only by
+one with strictly more edges.  Exclude first visits the leaves in graph6 order
+(slot 0 is the first graph6 bit), so every leaf visited before G*, the
+graph6-smallest optimum, is not optimal and the best count stays below m*
+along G*'s whole path.  The cap, min and bound cuts are sound, so none cuts
+that path: G* is the first optimal leaf reached, and nothing after it beats it.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ def branch_and_bound(
     alive0 = (1 << bit) - 1
 
     nodes = 0
-    target = -1  # pass 1: best edge count so far; pass 2: m*
+    best = -1  # edge count of `found`, the best feasible leaf so far
     found = None
 
     def feasible_leaf(done: int, mask: int) -> bool:
@@ -103,54 +107,29 @@ def branch_and_bound(
                 return True
         return False
 
-    def best_first(s: int, edges: int, alive: int, done: int, mask: int) -> None:
-        nonlocal nodes, target, found
+    def walk(s: int, edges: int, alive: int, done: int, mask: int) -> None:
+        nonlocal nodes, best, found
         nodes += 1
         if nodes % POLL_EVERY == 0 and deadline is not None and clock() > deadline:
             raise _Timeout
-        if edges + m_slots - s <= target:
-            return
         if s == m_slots:
             if feasible_leaf(done, mask):
-                target, found = edges, mask
+                best, found = edges, mask
             return
-        new = alive & ends[s]
-        if not (new and caps and over_cap(done | new)):
-            best_first(s + 1, edges + 1, alive, done | new, mask | 1 << s)
-        if edges + m_slots - s - 1 <= target:
-            return
-        killed = alive & contains[s]
-        if not (killed and mins and under_min(alive ^ killed)):
-            best_first(s + 1, edges, alive ^ killed, done, mask)
-
-    def lex_first(s: int, edges: int, alive: int, done: int, mask: int) -> int | None:
-        nonlocal nodes
-        nodes += 1
-        if nodes % POLL_EVERY == 0 and deadline is not None and clock() > deadline:
-            raise _Timeout
-        if s == m_slots:
-            return mask if feasible_leaf(done, mask) else None
-        if edges + m_slots - s > target:
+        if edges + m_slots - s - 1 > best:
             killed = alive & contains[s]
             if not (killed and mins and under_min(alive ^ killed)):
-                hit = lex_first(s + 1, edges, alive ^ killed, done, mask)
-                if hit is not None:
-                    return hit
-        if edges < target:
+                walk(s + 1, edges, alive ^ killed, done, mask)
+        if edges + m_slots - s > best:
             new = alive & ends[s]
             if not (new and caps and over_cap(done | new)):
-                return lex_first(s + 1, edges + 1, alive, done | new, mask | 1 << s)
-        return None
+                walk(s + 1, edges + 1, alive, done | new, mask | 1 << s)
 
     try:
         if deadline is not None and clock() >= deadline:
             raise _Timeout
         if not (over_cap(done0) or under_min(alive0)):
-            best_first(0, 0, alive0, done0, 0)
-        if found is None:
-            return SearchResult(None, None, nodes, False)
-        found = lex_first(0, 0, alive0, done0, 0)
+            walk(0, 0, alive0, done0, 0)
     except _Timeout:
         return SearchResult(None, None, nodes, True)
-    assert found is not None
-    return SearchResult(target, found, nodes, False)
+    return SearchResult(None if found is None else best, found, nodes, False)

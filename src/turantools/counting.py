@@ -111,14 +111,14 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return _count_embeddings(h, g) > 0
 
 
-def count_family(host: Graph, fam, n: int | None = None) -> int:
+def count_family(host: Graph, fam) -> int:
     """Total copies over a family; members must be pairwise non-isomorphic.
 
-    `fam` is either a GraphFamily (instantiated at ambient order n, default
-    the host's order) or a plain iterable of pattern graphs.
+    `fam` is either a GraphFamily (instantiated at the host's order) or a
+    plain iterable of pattern graphs.
     """
     if hasattr(fam, "members"):
-        members = fam.members(host.n if n is None else n)
+        members = fam.members(host.n)
     else:
         members = distinct_patterns(fam)
     return sum(count_copies(host, m) for m in members)

@@ -9,9 +9,10 @@ member patterns must lie in the allowed count set.
   triangle-free non-bip.:  [((K3,), {0})], plus non-bipartiteness
 
 `_search` turns each constraint into labeled placements and runs the
-branch-and-bound search of `_bnb`, which certifies the maximum by cutting only
-branches that cannot beat it; the witness is the graph6-lexicographically
-smallest optimal graph.  `_reverified` re-counts a returned witness against
+branch-and-bound search of `_bnb`: one exclude-first walk that certifies the
+maximum by cutting only branches that cannot beat the best leaf so far.  Its
+first optimal leaf, the witness, is the graph6-lexicographically smallest
+optimal graph.  `_reverified` re-counts a returned witness against
 the same constraint list through the independent embeddings-based copy
 counter before the result is handed back.
 """
@@ -97,7 +98,25 @@ def _search(
     t0 = time.monotonic()
 
     def nonbipartite(mask: int) -> bool:
-        return not check_bipartite(graph_from_mask(n, mask))
+        # breadth-first 2-colouring on bitsets: an edge inside one class closes an odd cycle
+        adj = graph_from_mask(n, mask).adj
+        uncoloured = (1 << n) - 1
+        while uncoloured:
+            frontier, c = uncoloured & -uncoloured, 0
+            classes = [frontier, 0]
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                if reach & classes[c]:
+                    return True
+                c ^= 1
+                frontier = reach & ~classes[c]
+                classes[c] |= frontier
+            uncoloured &= ~(classes[0] | classes[1])
+        return False
 
     res = branch_and_bound(
         pair_count(n),

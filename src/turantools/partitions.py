@@ -23,7 +23,6 @@ from turantools.errors import UnsolvedError
 
 MUP_BUDGET = 60  # largest A+B the exhaustive search accepts
 SERIES_C_CAP = 6
-SERIES_N_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -183,9 +182,9 @@ def mup_series_check(c: int, n_max: int) -> dict:
     """
     if c > SERIES_C_CAP:
         raise UnsolvedError(f"series check capped at c <= {SERIES_C_CAP}")
-    if n_max > SERIES_N_CAP - c:
+    if n_max > MUP_BUDGET - c:
         raise UnsolvedError(
-            f"series check capped at n <= {SERIES_N_CAP - c} for c={c}"
+            f"series check capped at n <= {MUP_BUDGET - c} for c={c}"
         )
     nu = smallest_nondivisor(c)
     divisors = [d for d in range(1, c + 1) if c % d == 0]

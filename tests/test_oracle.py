@@ -243,6 +243,44 @@ def test_engine_matches_reference_scanner(n, picks, allowed, per_member, require
         assert got.witness == graph_from_mask(n, ref.mask)
 
 
+@st.composite
+def _placement_constraints(draw):
+    m = draw(st.integers(min_value=0, max_value=9))
+    # the empty placement 0 lies inside every mask; repeats count twice
+    placement = st.one_of(st.just(0), st.integers(min_value=0, max_value=(1 << m) - 1))
+    allowed = st.sets(st.integers(min_value=0, max_value=6), min_size=1)
+    constraints = draw(
+        st.lists(st.tuples(st.lists(placement, max_size=6), allowed), min_size=1, max_size=3)
+    )
+    return m, constraints
+
+
+@given(_placement_constraints())
+@settings(max_examples=200, deadline=None)
+def test_search_matches_brute_force_over_placement_masks(case):
+    m, constraints = case
+    feasible = [
+        mask
+        for mask in range(1 << m)
+        if all(
+            sum(p & mask == p for p in placements) in allowed
+            for placements, allowed in constraints
+        )
+    ]
+    res = branch_and_bound(m, constraints)
+    assert not res.timed_out
+    if not feasible:
+        assert res.value is None and res.mask is None
+        return
+    best = max(mask.bit_count() for mask in feasible)
+    # slot 0 decides first, so slot order compares slot 0, then slot 1, ...
+    first = min(
+        (mask for mask in feasible if mask.bit_count() == best),
+        key=lambda mask: [mask >> i & 1 for i in range(m)],
+    )
+    assert res.value == best and res.mask == first
+
+
 def test_engine_matches_reference_on_exa_prime_members():
     # the exact constraint lists exa' builds, one search per member
     fam = parse_family("star+clique:3")
@@ -329,6 +367,7 @@ def test_explored_counts_whole_space_when_nonexistent():
 
 
 def test_order_zero_and_one():
-    assert ex_oracle(0, GraphFamily("clique:3")).value == 0
-    assert ex_oracle(1, GraphFamily("clique:3")).value == 0
+    for n in (0, 1):  # the single leaf is the whole search
+        res = ex_oracle(n, GraphFamily("clique:3"))
+        assert res.value == 0 and res.explored == 1
     assert ex_oracle(2, GraphFamily("clique:3")).value == 1
