@@ -23,6 +23,7 @@ from turantools.families import parse_family
 from turantools.game import solve_L, solve_x, solve_x_prime, sweep_patterns
 from turantools.graphs import decode_graph6
 from turantools.oracle import (
+    UNRESTRICTED_ORDER_CAP,
     ex_oracle,
     exa_oracle,
     exa_prime_oracle,
@@ -93,8 +94,11 @@ def _cmd_oracle(args) -> int:
     else:
         res = exa_prime_oracle(args.n, fam, **kw)
     doc = res.to_json()
+    value = res.value
+    if value is None:  # no graph qualifies, or the budget ran out first
+        value = "nonexistent" if res.complete else "unknown"
     lines = [
-        f"value = {res.value if res.value is not None else 'nonexistent'}",
+        f"value = {value}",
         f"witness = {doc['witness_graph6']}",
         f"explored = {res.explored}",
         f"complete = {res.complete}",
@@ -234,7 +238,9 @@ def _build_parser() -> _Parser:
         s = modes.add_parser(mode)
         s.add_argument("--n", type=int, required=True, help="ambient order")
         s.add_argument("--family", required=True, help="family spec")
-        s.add_argument("--allow-large", action="store_true", help="lift the n<=8 guard")
+        s.add_argument(
+            "--allow-large", action="store_true", help=f"lift the n<={UNRESTRICTED_ORDER_CAP} guard"
+        )
         s.add_argument("--budget", type=float, help="search budget, seconds")
         s.set_defaults(run=_cmd_oracle)
     modes.choices["exa"].add_argument("--k", type=int, required=True, help="copy count")

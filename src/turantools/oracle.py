@@ -10,7 +10,9 @@ member patterns must lie in the allowed count set.
 
 `_search` turns each constraint into labeled placements and runs the
 branch-and-bound search of `_bnb`: one exclude-first walk that certifies the
-maximum by cutting only branches that cannot beat the best leaf so far.  Its
+maximum by cutting only branches that cannot beat the best leaf so far or
+that are lexicographically larger than their image under an adjacent vertex
+transposition (every constraint here is invariant under relabeling).  Its
 first optimal leaf, the witness, is the graph6-lexicographically smallest
 optimal graph.  `_reverified` re-counts a returned witness against
 the same constraint list through the independent embeddings-based copy
@@ -36,7 +38,7 @@ from turantools.graphs import (
     pair_count,
 )
 
-UNRESTRICTED_ORDER_CAP = 8
+UNRESTRICTED_ORDER_CAP = 9
 ZETA_ORDER_CAP = 8
 
 
@@ -125,6 +127,7 @@ def _search(
             for members, allowed in constraints
         ],
         leaf_ok=nonbipartite if require_nonbip else None,
+        relabel_order=n,
         deadline=deadline,
     )
     elapsed = time.monotonic() - t0

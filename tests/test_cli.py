@@ -213,6 +213,7 @@ def test_budget_exhaustion_exit_2():
         ["oracle", "ex", "--n", "8", "--family", "clique:3", "--budget", "0"]
     )
     assert result.returncode == 2
+    assert "value = unknown" in result.stdout.splitlines()
 
 
 def test_failed_reverification_exit_3(monkeypatch, capsys):

@@ -8,7 +8,7 @@ import _reference
 from _reference import max_edges_with, scan_constraints
 from turantools import oracle
 from turantools._bnb import POLL_EVERY, branch_and_bound
-from turantools.counting import all_pattern_classes, count_copies
+from turantools.counting import all_pattern_classes, count_copies, labeled_copies
 from turantools.families import GraphFamily, parse_family
 from turantools.graphs import (
     check_bipartite,
@@ -54,10 +54,10 @@ def test_engine_brouwer_n5():
 
 def test_engine_guard():
     with pytest.raises(ValueError, match="guarded"):
-        ex_oracle(9, GraphFamily("clique:3"))
-    # override accepted (tiny instance)
-    res = ex_oracle(9, GraphFamily("clique:8"), allow_large=True, budget=60)
-    assert res.value == turan_graph(9, 7).edge_count()
+        ex_oracle(10, GraphFamily("clique:3"))
+    # override accepted (the lex-leader cuts make this instance small)
+    res = ex_oracle(10, GraphFamily("clique:3"), allow_large=True, budget=60)
+    assert res.value == turan_graph(10, 2).edge_count()
 
 
 def test_engine_budget_expiry():
@@ -279,6 +279,76 @@ def test_search_matches_brute_force_over_placement_masks(case):
         key=lambda mask: [mask >> i & 1 for i in range(m)],
     )
     assert res.value == best and res.mask == first
+
+
+@given(
+    n=st.integers(min_value=3, max_value=7),
+    picks=st.lists(
+        st.integers(min_value=0, max_value=len(_PATTERNS) - 1),
+        min_size=1, max_size=3, unique=True,
+    ),
+    allowed=st.lists(
+        st.frozensets(st.integers(min_value=0, max_value=4), min_size=1),
+        min_size=3, max_size=3,
+    ),
+    per_member=st.booleans(),
+    require_nonbip=st.integers(min_value=0, max_value=3).map(lambda i: i == 0),
+)
+@settings(max_examples=60, deadline=None)
+def test_lex_leader_cuts_keep_value_and_witness(n, picks, allowed, per_member, require_nonbip):
+    members = [_PATTERNS[i] for i in picks]
+    if per_member:
+        constraints = [((f,), set(a)) for f, a in zip(members, allowed)]
+    else:
+        constraints = [(tuple(members), set(allowed[0]))]
+    placements = [
+        (sum((labeled_copies(n, f) for f in fs), ()), a) for fs, a in constraints
+    ]
+
+    def nonbipartite(mask):
+        return not check_bipartite(graph_from_mask(n, mask))
+
+    leaf_ok = nonbipartite if require_nonbip else None
+    plain = branch_and_bound(pair_count(n), placements, leaf_ok=leaf_ok)
+    cut = branch_and_bound(pair_count(n), placements, leaf_ok=leaf_ok, relabel_order=n)
+    assert (cut.value, cut.mask) == (plain.value, plain.mask)
+    assert cut.nodes <= plain.nodes
+
+
+def test_relabel_order_must_match_the_slots():
+    with pytest.raises(ValueError, match="not the pairs of 3 vertices"):
+        branch_and_bound(5, [], relabel_order=3)
+
+
+K3, K4 = GraphFamily("clique:3"), GraphFamily("clique:4")
+
+
+@pytest.mark.parametrize(
+    "run, formula",
+    [
+        # Turan: ex(n, K3) = t(n, 2)
+        (lambda: ex_oracle(9, K3, allow_large=True), turan_graph(9, 2).edge_count()),
+        # triangles: exa_k(n, K3) = floor((n-1)^2 / 4) + k + 1
+        (lambda: exa_oracle(9, 1, K3, allow_large=True), (9 - 1) ** 2 // 4 + 1 + 1),
+        (lambda: exa_oracle(9, 2, K3, allow_large=True), (9 - 1) ** 2 // 4 + 2 + 1),
+        (lambda: exa_oracle(10, 1, K3, allow_large=True), (10 - 1) ** 2 // 4 + 1 + 1),
+        # klikk: exa_1(n, K_r) = C(r, 2) + (r-2)(n-r) + ex(n-r, K_r), ex(5, K4) = t(5, 3)
+        (
+            lambda: exa_oracle(9, 1, K4, allow_large=True),
+            6 + (4 - 2) * (9 - 4) + turan_graph(5, 3).edge_count(),
+        ),
+        # Brouwer: triangle-free and not bipartite: floor((n-1)^2 / 4) + 1
+        (lambda: triangle_free_nonbipartite_oracle(9, allow_large=True), (9 - 1) ** 2 // 4 + 1),
+        # Sheehan: exa_1(n, hamcycle) = floor(n^2 / 4) + 1
+        (lambda: exa_oracle(8, 1, GraphFamily("hamcycle")), 8 * 8 // 4 + 1),
+        # Hetyei: exa_1(n, perfmatching) = n^2 / 4 for even n
+        (lambda: exa_oracle(8, 1, GraphFamily("perfmatching")), 8 * 8 // 4),
+    ],
+    ids=["ex9K3", "exa1_9K3", "exa2_9K3", "exa1_10K3", "klikk9K4", "brouwer9", "sheehan8", "hetyei8"],
+)
+def test_closed_forms_at_orders_8_to_10(run, formula):
+    res = run()
+    assert res.complete and res.value == formula
 
 
 def test_engine_matches_reference_on_exa_prime_members():
