@@ -178,7 +178,7 @@ def _cmd_mup(args) -> int:
 
 
 def _cmd_game(args) -> int:
-    res = args.solve(args.n, parse_family(args.family))
+    res = args.solve(args.n, parse_family(args.family), budget=args.budget)
     doc = res.to_json()
     lines = [
         f"value = {res.value if res.value is not None else 'unsolved'}",
@@ -281,6 +281,7 @@ def _build_parser() -> _Parser:
         s = modes.add_parser(mode)
         s.add_argument("--n", type=int, required=True)
         s.add_argument("--family", required=True, help="family spec")
+        s.add_argument("--budget", type=float, help="solver budget, seconds")
         s.set_defaults(run=_cmd_game, solve=solve)
     s = modes.add_parser("sweep")
     s.add_argument("--n", type=int, required=True)

@@ -11,11 +11,16 @@ additionally every edge of it must have been asked).  Exact minimax values:
   x' - total queries with the checked endgame.
 
 The solver memoizes on the set of surviving placements, the only thing the
-values depend on.
+values depend on.  It never solves a child exactly: it asks bounded questions
+"is value(S) <= t?", keeps the lower and upper bounds each answer proves for
+S, and raises t from a floor that every game with two or more survivors
+meets (see `_Solver`).  `budget=` seconds bound a solve; when they run out,
+the result is incomplete with value None, as when the state cap is reached.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from turantools.counting import all_pattern_classes, count_copies
@@ -35,6 +40,8 @@ from turantools.oracle import exa_oracle, exa_prime_oracle
 
 SOLVER_ORDER_CAP = 7
 DEFAULT_STATE_CAP = 5_000_000
+# new states between deadline polls
+POLL_EVERY = 4096
 
 
 @dataclass(frozen=True)
@@ -113,11 +120,29 @@ def adversary_no_first(state: GameState, query: Edge) -> bool:
 
 
 class _Solver:
-    """Memoized exact minimax over surviving sets of placements.
+    """Memoized exact minimax over surviving sets of placements, by bounded tests.
 
     A surviving set S is an int bitset over indices into `masks`.  Every asked
     pair lies in all or in none of the survivors, so L and x depend on S
     alone; x' memoizes g(S) = x' + |YES|, which depends on S alone too.
+
+    `_at_most(S, t)` answers "is value(S) <= t?" and memoizes the bounds
+    (lo, hi) it proves for S.  A slot passes when its NO child passes at
+    t - 1 and its YES child at t - cost_yes; the first slot that passes
+    proves value(S) <= t, and no passing slot proves value(S) >= t + 1.  The
+    exact value raises t from the stored lo until the test holds: the MTD(f)
+    scheme of Plaat, Schaeffer, Pijls and de Bruin, "Best-first fixed-depth
+    minimax algorithms", Artificial Intelligence 87 (1996).  A test below a
+    floor fails at once, without a search.  The floors, for |S| >= 2:
+
+      L  - ceil(log2 |S|): each answer at best halves the survivors;
+      x  - 1: every split has a NO branch, and a NO costs 1;
+      g  - 1 + the fewest edges of any placement: a single survivor p costs
+           |p|, so by induction the NO branch of every split costs at least
+           that much, plus 1 for the NO.
+
+    A per-S floor for g (the fewest edges among the survivors) is sharper
+    but costs more to compute than it saves.
     """
 
     def __init__(
@@ -126,6 +151,8 @@ class _Solver:
         fam: GraphFamily,
         cost: str,
         state_cap: int = DEFAULT_STATE_CAP,
+        budget: float | None = None,
+        clock=time.monotonic,
     ):
         if n > SOLVER_ORDER_CAP:
             raise ValueError(f"game solver capped at n <= {SOLVER_ORDER_CAP}")
@@ -137,14 +164,22 @@ class _Solver:
         if not self.masks:
             raise ValueError("family has no placements at this order")
         self.state_cap = state_cap
+        self.clock = clock
+        self.deadline = clock() + budget if budget is not None else None
         # a YES costs one query in L; in x, and in g = x' + |YES|, it is free
         self.cost_yes = 1 if cost == "L" else 0
+        # a single survivor p: x' still has to ask the rest of p
+        self.leaf = [p.bit_count() if cost == "xprime" else 0 for p in self.masks]
+        # floors for |S| >= 2 (see above): L's depends on |S|, x's and g's do not
+        self.halving = cost == "L"
+        self.floor = 1 + min(self.leaf)
         # contains[s]: the placements that use slot s
         self.contains = [
             sum(1 << i for i, p in enumerate(self.masks) if p >> s & 1)
             for s in range(pair_count(n))
         ]
-        self.memo: dict[int, int] = {}
+        # S -> (lo, hi): proven bounds on its value, hi None while unknown
+        self.bounds: dict[int, tuple[int, int | None]] = {}
 
     def _splits(self, S: int):
         """(slot, YES survivors, NO survivors) for every informative slot."""
@@ -153,50 +188,69 @@ class _Solver:
             if s_yes and s_yes != S:
                 yield s, s_yes, S ^ s_yes
 
-    def _answer_value(self, s_yes: int, s_no: int) -> int:
-        return max(self.cost_yes + self.value(s_yes), 1 + self.value(s_no))
+    def _poll(self) -> None:
+        if self.deadline is not None and self.clock() > self.deadline:
+            raise UnsolvedError("game budget ran out")
+
+    def _at_most(self, S: int, t: int) -> bool:
+        """Whether value(S) <= t; memoizes the bound this proves for S."""
+        if S & (S - 1) == 0:
+            return self.leaf[S.bit_length() - 1] <= t
+        floor = (S.bit_count() - 1).bit_length() if self.halving else self.floor
+        if t < floor:
+            return False
+        entry = self.bounds.get(S)
+        if entry is None:
+            if len(self.bounds) >= self.state_cap:
+                raise UnsolvedError(f"state ceiling {self.state_cap} reached")
+            lo, hi = floor, None
+        else:
+            lo, hi = entry
+            if hi is not None and hi <= t:
+                return True
+            if t < lo:
+                return False
+        t_yes = t - self.cost_yes
+        passed = False
+        for c in self.contains:  # _splits inlined: this is the hot loop
+            s_yes = S & c
+            if (
+                s_yes
+                and s_yes != S
+                and self._at_most(S ^ s_yes, t - 1)
+                and self._at_most(s_yes, t_yes)
+            ):
+                passed = True
+                break
+        self.bounds[S] = (lo, t) if passed else (t + 1, hi)
+        if entry is None and len(self.bounds) % POLL_EVERY == 0:
+            self._poll()
+        return passed
 
     def value(self, S: int) -> int:
         """L or x of S, or g(S) = x' + |YES| for the checked variant."""
-        cached = self.memo.get(S)
-        if cached is not None:
-            return cached
-        if len(self.memo) >= self.state_cap:
-            raise UnsolvedError(f"state ceiling {self.state_cap} reached")
-        if S & (S - 1) == 0:
-            # a single survivor p: x' still has to ask the rest of p
-            p = self.masks[S.bit_length() - 1]
-            v = p.bit_count() if self.cost == "xprime" else 0
-            self.memo[S] = v
-            return v
-        # each L answer at best halves the survivors
-        floor = (S.bit_count() - 1).bit_length() if self.cost == "L" else 0
-        best = None
-        for _, s_yes, s_no in self._splits(S):
-            v = self._answer_value(s_yes, s_no)
-            if best is None or v < best:
-                best = v
-                if v == floor:
-                    break
-        assert best is not None  # two placements always differ on some pair
-        self.memo[S] = best
-        return best
+        t = self.bounds.get(S, (0, None))[0]
+        while not self._at_most(S, t):
+            t += 1
+        return t
 
     def _optimal_slots(self, S: int):
-        target = self.value(S)
+        v = self.value(S)
+        t_yes = v - self.cost_yes
         for s, s_yes, s_no in self._splits(S):
-            if self._answer_value(s_yes, s_no) == target:
+            if self._at_most(s_no, v - 1) and self._at_most(s_yes, t_yes):
                 yield s
 
     def solve(self) -> GameValue:
         root = (1 << len(self.masks)) - 1
-        try:
-            v = self.value(root)
-        except UnsolvedError:
-            return GameValue(None, (), len(self.memo), False)
         pairs = slot_pairs(self.n)
-        moves = tuple(sorted(pairs[s] for s in self._optimal_slots(root)))
-        return GameValue(v, moves, len(self.memo), True)
+        try:
+            self._poll()
+            v = self.value(root)
+            moves = tuple(sorted(pairs[s] for s in self._optimal_slots(root)))
+        except UnsolvedError:
+            return GameValue(None, (), len(self.bounds), False)
+        return GameValue(v, moves, len(self.bounds), True)
 
     def best_query(self, yes: int, no: int) -> int | None:
         """Lex-smallest optimal informative slot, None at terminal states."""

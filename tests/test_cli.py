@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 
 from turantools import cli, oracle, verify
 from turantools.graphs import complete_graph, encode_graph6
@@ -120,7 +121,7 @@ def test_usage_errors_exit_1():
 def test_flags_a_command_does_not_honour_exit_1(capsys):
     cases = [
         ("oracle set --n 4 --counts -1 --family clique:3", "copy counts are non-negative"),
-        ("game L --n 4 --family star --budget 1", "unrecognized arguments: --budget"),
+        ("game sweep --n 4 --budget 1", "unrecognized arguments: --budget"),
         (f"oracle zeta --pattern {K3_G6} --budget 0", "unrecognized arguments: --budget 0"),
         ("verify --suite sandwich --n-max 3", "takes no n_max"),
         ("verify --suite all --n-max 10", "needs a single suite"),
@@ -214,6 +215,14 @@ def test_budget_exhaustion_exit_2():
     )
     assert result.returncode == 2
     assert "value = unknown" in result.stdout.splitlines()
+
+
+def test_game_budget_exhaustion_exit_2(capsys):
+    started = time.monotonic()
+    code = cli.main(["game", "L", "--n", "6", "--family", "trees", "--budget", "0.001"])
+    assert time.monotonic() - started < 1.0
+    assert code == cli.EXIT_UNSOLVED
+    assert "value = unsolved" in capsys.readouterr().out.splitlines()
 
 
 def test_failed_reverification_exit_3(monkeypatch, capsys):

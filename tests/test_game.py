@@ -4,9 +4,11 @@ import pytest
 
 from _reference import matching_first_questioner
 from turantools.constructions import build_klikk
+from turantools.counting import all_pattern_classes
 from turantools.errors import AdversaryError
 from turantools.families import GraphFamily, parse_family
 from turantools.game import (
+    POLL_EVERY,
     GameState,
     adversary_no_first,
     consistent_placements,
@@ -20,7 +22,7 @@ from turantools.game import (
     strategy_worst_case,
     sweep_patterns,
 )
-from turantools.graphs import complete_graph, make_graph, slot_pairs
+from turantools.graphs import complete_graph, encode_graph6, make_graph, slot_pairs
 from turantools.oracle import exa_oracle, exa_prime_oracle
 
 K3 = GraphFamily("clique:3")
@@ -128,6 +130,28 @@ def test_solver_order_7_meets_the_exa1_bound():
     assert solve_L(7, K3).value == comb(7, 2) - ((7 - 1) ** 2 // 4 + 2)
 
 
+def test_x_and_xprime_of_trees_at_order_6():
+    # the paper's bound C(n,2) - exa_1(n, trees), exa_1(n, trees) = n - 1, is met
+    x = solve_x(6, TREES).value
+    assert x == comb(6, 2) - (6 - 1) == 10
+    # uniform-edge identity: every tree on 6 vertices has 5 edges
+    assert solve_x_prime(6, TREES).value == x + 5 == 15
+
+
+def test_solver_polls_its_deadline_every_poll_interval():
+    polls = []
+
+    def clock():  # one time unit per call
+        polls.append(None)
+        return float(len(polls))
+
+    res = solve_L(6, TREES, budget=2.5, clock=clock)
+    # deadline 1.0 + 2.5; polled before the search (2.0), then after 4096 new
+    # states (3.0) and after 8192 (4.0)
+    assert not res.complete and res.value is None and res.first_moves == ()
+    assert len(polls) == 4 and res.states_explored == 2 * POLL_EVERY
+
+
 def test_state_ceiling_reports_unsolved():
     res = solve_L(5, TREES, state_cap=10)
     assert not res.complete and res.value is None
@@ -220,14 +244,21 @@ def test_simulate_flags_bad_adversary():
         simulate(4, STAR, matching_first_questioner(4), stubborn_no)
 
 
-def _unpruned_minimax(n, fam, cost):
+def _unpruned_reference(n, fam, cost):
     """Reference minimax over (YES, NO) states: every unasked pair is a move,
-    no endgame shortcut; returns the root value and the optimal first pairs."""
+    no endgame shortcut.  Returns value(yes, no) and optimal(yes, no): the
+    informative slots (some but not every consistent placement uses them)
+    whose move value is the state's value, or, once one placement is left,
+    every slot whose move value is the state's value."""
     masks = fam.placements(n)
-    pairs = slot_pairs(n)
     memo = {}
 
-    def move_value(yes, no, cons, b):
+    def consistent(yes, no):
+        return [p for p in masks if p & no == 0 and yes & ~p == 0]
+
+    def move_value(yes, no, s):
+        b = 1 << s
+        cons = consistent(yes, no)
         opts = []
         if any(p & b for p in cons):
             opts.append((0 if cost == "x" else 1) + value(yes | b, no))
@@ -238,34 +269,78 @@ def _unpruned_minimax(n, fam, cost):
     def value(yes, no):
         if (yes, no) in memo:
             return memo[yes, no]
-        cons = [p for p in masks if p & no == 0 and yes & ~p == 0]
+        cons = consistent(yes, no)
         if len(cons) == 1 and (cost != "xprime" or yes == cons[0]):
             best = 0
         else:
             best = min(
-                move_value(yes, no, cons, 1 << s)
-                for s in range(len(pairs))
+                move_value(yes, no, s)
+                for s in range(len(slot_pairs(n)))
                 if not (yes | no) >> s & 1
             )
         memo[yes, no] = best
         return best
 
+    def optimal(yes, no):
+        cons = consistent(yes, no)
+        v = value(yes, no)
+        return [
+            s
+            for s in range(len(slot_pairs(n)))
+            if not (yes | no) >> s & 1
+            and (len(cons) == 1 or 0 < sum(p >> s & 1 for p in cons) < len(cons))
+            and move_value(yes, no, s) == v
+        ]
+
+    return value, optimal
+
+
+def _unpruned_minimax(n, fam, cost):
+    """Root value and optimal informative first pairs of the unpruned reference."""
+    value, optimal = _unpruned_reference(n, fam, cost)
     root = value(0, 0)
-    moves = sorted(
-        pairs[s] for s in range(len(pairs)) if move_value(0, 0, masks, 1 << s) == root
-    )
-    return root, tuple(moves)
+    if len(fam.placements(n)) == 1:  # no pair is informative
+        return root, ()
+    return root, tuple(sorted(slot_pairs(n)[s] for s in optimal(0, 0)))
 
 
 def test_solver_matches_unpruned_minimax():
     solvers = {"L": solve_L, "x": solve_x, "xprime": solve_x_prime}
     grid = [(4, K3), (4, STAR), (4, TREES), (4, KMINUS)]
     grid += [(5, STAR), (5, GraphFamily("hamcycle"))]
+    grid += [
+        (4, GraphFamily.explicit((f,), label=encode_graph6(f)))
+        for f in all_pattern_classes(4)
+    ]
+    grid += [(4, parse_family("trees+clique:3"))]
     for n, fam in grid:
         for cost, cost_solve in solvers.items():
             res = cost_solve(n, fam)
             want = _unpruned_minimax(n, fam, cost)
             assert (res.value, res.first_moves) == want, (n, fam, cost)
+
+
+def test_solver_questioner_plays_the_first_optimal_slot():
+    # every state the solver questioner reaches, against either answer
+    for n, fam in ((4, K3), (4, TREES), (5, STAR)):
+        for cost in ("L", "x", "xprime"):
+            value, optimal = _unpruned_reference(n, fam, cost)
+            ask = solver_questioner(n, fam, cost)
+            stack, seen = [GameState(n, fam)], 0
+            while stack:
+                state = stack.pop()
+                seen += 1
+                yes, no = state.yes_mask(), state.no_mask()
+                q = ask(state)
+                if q is None:
+                    assert value(yes, no) == 0, (n, fam, cost, state)
+                    continue
+                assert q == slot_pairs(n)[optimal(yes, no)[0]], (n, fam, cost, state)
+                for is_yes in (False, True):
+                    nxt = state.answer(q, is_yes)
+                    if consistent_placements(nxt):
+                        stack.append(nxt)
+            assert seen > 1
 
 
 def test_sweep_smoke():
