@@ -4,6 +4,11 @@ A "copy" is an edge subset of the host whose graph is isomorphic to the
 pattern, after discarding the pattern's isolated vertices.  Copies are counted
 as injective adjacency-preserving embeddings divided by the pattern's
 automorphism count; the division must be exact and is asserted.
+
+Embeddings are counted by backtracking on the host's adjacency bitsets: each
+step takes its candidate host vertices as one bitset, already cut to vertices
+of large enough degree, unused, and adjacent to the images of the placed
+pattern neighbours, and the last step adds that bitset's popcount.
 """
 
 from __future__ import annotations
@@ -31,52 +36,61 @@ def strip_isolated(g: Graph) -> Graph:
 
 
 def _pattern_order(f: Graph) -> list[int]:
-    """Pattern vertices by decreasing degree, ties by label; maximizes pruning."""
+    """Pattern vertices by decreasing degree, ties by label.
+
+    High-degree vertices are placed first, where the degree filter of
+    `_count_embeddings` leaves them the fewest candidate host vertices.
+    """
     return sorted(range(f.n), key=lambda v: (-f.degree(v), v))
 
 
 def _count_embeddings(host: Graph, pattern: Graph) -> int:
-    """Injective maps pattern -> host sending pattern edges to host edges."""
+    """Injective maps pattern -> host sending pattern edges to host edges.
+
+    Pattern vertices are placed in `_pattern_order`.  The host vertices that
+    can take the k-th one form one bitset: those of large enough degree
+    (`fits[k]`), minus the used ones, ANDed with the host rows of the images
+    of its earlier pattern neighbours (Ullmann's candidate refinement).  The
+    walk visits only the set bits of that bitset, and at the last pattern
+    vertex it adds the bitset's popcount instead of recursing.
+    """
     if pattern.n > host.n:
         return 0
     if pattern.n == 0:
         return 1
     order = _pattern_order(pattern)
-    # earlier[k] = pattern neighbors of order[k] already placed at step k
-    earlier = []
-    for k, p in enumerate(order):
-        placed = order[:k]
-        earlier.append([(j, q) for j, q in enumerate(placed) if pattern.has_edge(p, q)])
+    # earlier[k] = steps of the pattern neighbours of order[k] placed before it
+    earlier = [
+        [j for j in range(k) if pattern.has_edge(p, order[j])]
+        for k, p in enumerate(order)
+    ]
+    host_deg = host.degrees()
+    fits = []
+    for p in order:
+        d = pattern.degree(p)
+        fits.append(sum(1 << w for w in range(host.n) if host_deg[w] >= d))
+    adj = host.adj
+    rows = [0] * pattern.n  # rows[j] = host row of the image of order[j]
+    last = pattern.n - 1
 
-    image = [0] * pattern.n
-    used = 0
-    total = 0
+    def extend(k: int, used: int) -> int:
+        cand = fits[k] & ~used
+        for j in earlier[k]:
+            cand &= rows[j]
+        if k == last:
+            return cand.bit_count()
+        total = 0
+        while cand:
+            bit = cand & -cand
+            rows[k] = adj[bit.bit_length() - 1]
+            total += extend(k + 1, used | bit)
+            cand ^= bit
+        return total
 
-    def extend(k: int) -> None:
-        nonlocal used, total
-        if k == pattern.n:
-            total += 1
-            return
-        reqs = earlier[k]
-        for w in range(host.n):
-            bit = 1 << w
-            if used & bit:
-                continue
-            ok = True
-            for j, _ in reqs:
-                if not host.adj[image[j]] >> w & 1:
-                    ok = False
-                    break
-            if ok:
-                image[k] = w
-                used |= bit
-                extend(k + 1)
-                used ^= bit
-
-    extend(0)
-    return total
+    return extend(0, 0)
 
 
+@lru_cache(maxsize=None)
 def automorphism_count(f: Graph) -> int:
     """|Aut(f)| by pruned backtracking over label permutations."""
     if f.n > AUT_ORDER_CAP:
@@ -168,13 +182,19 @@ def labeled_copies(n: int, pattern: Graph) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def all_pattern_classes(max_order: int) -> tuple[Graph, ...]:
-    """Non-isomorphic graphs with >= 1 edge and no isolated vertices, order <= max_order."""
-    found: list[Graph] = []
+    """Non-isomorphic graphs with >= 1 edge and no isolated vertices, order <= max_order.
+
+    Each class is represented by the first edge mask on max_order vertices,
+    in ascending order, that yields it.  Isomorphism is tested only between
+    graphs with the same order and sorted degrees.
+    """
+    buckets: dict[tuple, list[Graph]] = {}
     m = len(slot_pairs(max_order))
     for mask in range(1, 1 << m):
         g = strip_isolated(graph_from_mask(max_order, mask))
-        if any(are_isomorphic(g, h) for h in found):
-            continue
-        found.append(g)
+        bucket = buckets.setdefault((g.n, tuple(sorted(g.degrees()))), [])
+        if not any(_count_embeddings(h, g) for h in bucket):
+            bucket.append(g)
+    found = [g for bucket in buckets.values() for g in bucket]
     found.sort(key=lambda g: (g.n, g.edge_count(), g.edge_mask()))
     return tuple(found)

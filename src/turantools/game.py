@@ -71,6 +71,15 @@ class GameState:
 
 @dataclass
 class GameValue:
+    """A solved game value and the optimal first queries.
+
+    `first_moves` lists only informative optimal pairs: pairs some but not
+    every consistent placement uses.  When one placement survives from the
+    start, it is empty even for x', whose questioner still has to ask the
+    placement's edges: `solver_questioner` then opens with the lowest of
+    them, and `value` counts them.
+    """
+
     value: int | None
     first_moves: tuple[Edge, ...]
     states_explored: int

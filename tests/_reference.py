@@ -9,7 +9,9 @@ a maximum by exhausting every denser level.  Scan modes: stop at the first
 feasible graph, or sweep the whole level keeping the feasible graph whose
 bit-reversed edge mask is smallest (the graph6-lexicographically smallest).
 
-`count_copies_bruteforce` counts copies by enumerating edge subsets.
+`count_copies_bruteforce` counts copies by enumerating edge subsets and
+deciding isomorphism with networkx, so it shares no code with the package's
+embeddings counter.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from time import monotonic as _result_clock  # apart from `time`, which tests patch
 
-from turantools.counting import are_isomorphic, labeled_copies, strip_isolated
+import networkx as nx
+
+from turantools.counting import labeled_copies
 from turantools.game import consistent_placements
-from turantools.graphs import graph_from_mask, make_graph, pair_count, slot_pairs
+from turantools.graphs import graph_from_mask, pair_count, slot_pairs
 from turantools.oracle import OracleResult, _check_order, _deadline
 
 # graphs between deadline checks: `max_edges_with` predicates that count
@@ -209,19 +213,26 @@ def max_edges_with(
     return OracleResult(witness.edge_count(), witness, res.explored, elapsed, True)
 
 
+def to_networkx(g, *, keep_isolated: bool = True) -> nx.Graph:
+    """g as a networkx graph on 0..n-1, or on its non-isolated vertices only."""
+    h = nx.Graph()
+    if keep_isolated:
+        h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
 def count_copies_bruteforce(host, pattern) -> int:
-    """Oracle twin of count_copies: enumerate edge subsets, test isomorphism."""
-    f = strip_isolated(pattern)
-    if f.n == 0:
+    """Oracle twin of count_copies: enumerate edge subsets, test isomorphism
+    with networkx."""
+    f = to_networkx(pattern, keep_isolated=False)
+    k = f.number_of_edges()
+    if k == 0:
         return 1
-    k = f.edge_count()
-    hits = 0
-    host_edges = host.edges()
-    for subset in combinations(host_edges, k):
-        sub = strip_isolated(make_graph(host.n, subset))
-        if are_isomorphic(sub, f):
-            hits += 1
-    return hits
+    return sum(
+        nx.is_isomorphic(nx.Graph(subset), f)
+        for subset in combinations(host.edges(), k)
+    )
 
 
 def matching_first_questioner(n: int):

@@ -1,9 +1,11 @@
 from itertools import combinations, permutations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
-from _reference import count_copies_bruteforce
+from _reference import count_copies_bruteforce, to_networkx
 
 from turantools.counting import (
     all_pattern_classes,
@@ -20,6 +22,7 @@ from turantools.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    encode_graph6,
     graph_from_mask,
     make_graph,
     mask_from_edges,
@@ -181,3 +184,51 @@ def test_pattern_classes_small():
     classes = all_pattern_classes(4)
     assert len(classes) == 10
     assert all(g.min_degree() >= 1 for g in classes)
+
+
+@given(graphs(max_n=8))
+@settings(max_examples=40, deadline=None)
+def test_count_copies_matches_containment_and_networkx_up_to_order_8(host):
+    # two references that never call the embeddings counter: containment in
+    # the permutation-built labeled copies, and networkx's monomorphisms
+    # divided by |Aut(F)|
+    hmask = host.edge_mask()
+    nx_host = to_networkx(host)
+    for f in all_pattern_classes(5):
+        got = count_copies(host, f)
+        assert got == sum(p & hmask == p for p in labeled_copies(host.n, f)), f
+        matcher = GraphMatcher(nx_host, to_networkx(f))
+        monos = sum(1 for _ in matcher.subgraph_monomorphisms_iter())
+        assert monos == got * automorphism_count(f), f
+
+
+def test_automorphism_count_is_the_edge_set_stabiliser():
+    for f in all_pattern_classes(5):
+        edges = set(f.edges())
+        fixing = sum(
+            {(min(p[u], p[v]), max(p[u], p[v])) for u, v in edges} == edges
+            for p in permutations(range(f.n))
+        )
+        assert automorphism_count(f) == fixing, f
+
+
+def _pattern_classes_by_linear_scan(max_order):
+    """Reference: compare each new graph with every class found so far."""
+    found = []
+    for mask in range(1, 1 << pair_count(max_order)):
+        g = to_networkx(graph_from_mask(max_order, mask), keep_isolated=False)
+        if not any(nx.is_isomorphic(g, h) for h in found):
+            found.append(g)
+    graphs = []
+    for g in found:
+        g = nx.convert_node_labels_to_integers(g, ordering="sorted")
+        graphs.append(make_graph(g.number_of_nodes(), g.edges()))
+    graphs.sort(key=lambda g: (g.n, g.edge_count(), g.edge_mask()))
+    return [encode_graph6(g) for g in graphs]
+
+
+@pytest.mark.parametrize("k, size", [(2, 1), (3, 3), (4, 10), (5, 33)])
+def test_pattern_classes_match_a_linear_networkx_scan(k, size):
+    classes = all_pattern_classes(k)
+    assert len(classes) == size
+    assert [encode_graph6(g) for g in classes] == _pattern_classes_by_linear_scan(k)

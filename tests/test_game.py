@@ -1,8 +1,10 @@
+import json
 from math import comb
 
 import pytest
 
 from _reference import matching_first_questioner
+from turantools import cli
 from turantools.constructions import build_klikk
 from turantools.counting import all_pattern_classes
 from turantools.errors import AdversaryError
@@ -185,6 +187,19 @@ def test_simulate_xprime_asks_all_copy_edges():
     asked = {q for q, _ in tr.queries}
     assert set(tr.final_placement) <= asked
     assert tr.total == solve_x_prime(4, STAR).value
+
+
+def test_xprime_first_moves_list_only_informative_pairs(capsys):
+    # one placement of K4 at n = 4: no pair is informative, so first_moves is
+    # empty, yet x' still asks all six edges, starting with (0, 1)
+    k4 = GraphFamily("clique:4")
+    args = ["--json", "game", "xprime", "--n", "4", "--family", "clique:4"]
+    assert cli.main(args) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["value"] == 6 and doc["first_moves"] == []
+    assert solver_questioner(4, k4, "xprime")(GameState(4, k4)) == (0, 1)
+    tr = simulate(4, k4, solver_questioner(4, k4, "xprime"), adversary_no_first)
+    assert [q for q, _ in tr.queries] == list(slot_pairs(4))
 
 
 def test_matching_first_questioner():
