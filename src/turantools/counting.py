@@ -9,20 +9,19 @@ Embeddings are counted by backtracking on the host's adjacency bitsets: each
 step takes its candidate host vertices as one bitset, already cut to vertices
 of large enough degree, unused, and adjacent to the images of the placed
 pattern neighbours, and the last step adds that bitset's popcount.
+
+The labeled copies of a pattern inside K_n, and the isomorphism classes of
+small patterns, are orbits of edge-slot masks under the relabelings of the
+vertices (`graphs.slot_orbit`); neither uses the embeddings counter, so the
+two routes check each other.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
-from turantools.graphs import (
-    Graph,
-    graph_from_mask,
-    make_graph,
-    mask_from_edges,
-    slot_pairs,
-)
+from turantools.graphs import Graph, graph_from_mask, make_graph, pair_count, slot_orbit
 
 AUT_ORDER_CAP = 10
 
@@ -153,31 +152,14 @@ def labeled_copies(n: int, pattern: Graph) -> tuple[int, ...]:
 
     Each mask is one distinct edge subset of K_n isomorphic to the stripped
     pattern, so for any graph G on n vertices the number of masks contained
-    in G's edge mask equals count_copies(G, pattern).
+    in G's edge mask equals count_copies(G, pattern).  The copies are the
+    orbit of the pattern's own mask (its vertices 0..f.n-1 keep their slots
+    in K_n) under the relabelings of K_n.
     """
     f = strip_isolated(pattern)
     if f.n > n:
         return ()
-    if f.n == 0:
-        return (0,)
-    fe = f.edges()
-    masks = {
-        mask_from_edges(n, [(img[u], img[v]) for u, v in fe])
-        for img in permutations(range(f.n))
-    }
-    if f.n == n:
-        return tuple(sorted(masks))
-    # Relabel the copies on vertices 0..f.n-1 onto every f.n-subset; a copy
-    # spans exactly its subset, so no mask repeats.
-    pairs = slot_pairs(n)
-    copies = [[pairs[s] for s in range(m.bit_length()) if m >> s & 1] for m in masks]
-    return tuple(
-        sorted(
-            mask_from_edges(n, [(sub[u], sub[v]) for u, v in edges])
-            for sub in combinations(range(n), f.n)
-            for edges in copies
-        )
-    )
+    return tuple(sorted(slot_orbit(n, f.edge_mask())))
 
 
 @lru_cache(maxsize=None)
@@ -185,16 +167,15 @@ def all_pattern_classes(max_order: int) -> tuple[Graph, ...]:
     """Non-isomorphic graphs with >= 1 edge and no isolated vertices, order <= max_order.
 
     Each class is represented by the first edge mask on max_order vertices,
-    in ascending order, that yields it.  Isomorphism is tested only between
-    graphs with the same order and sorted degrees.
+    in ascending order, that yields it: the masks are walked in ascending
+    order, and each one outside the orbits found so far starts a new class
+    and adds its orbit.
     """
-    buckets: dict[tuple, list[Graph]] = {}
-    m = len(slot_pairs(max_order))
-    for mask in range(1, 1 << m):
-        g = strip_isolated(graph_from_mask(max_order, mask))
-        bucket = buckets.setdefault((g.n, tuple(sorted(g.degrees()))), [])
-        if not any(_count_embeddings(h, g) for h in bucket):
-            bucket.append(g)
-    found = [g for bucket in buckets.values() for g in bucket]
+    found = []
+    covered: set[int] = set()
+    for mask in range(1, 1 << pair_count(max_order)):
+        if mask not in covered:
+            found.append(strip_isolated(graph_from_mask(max_order, mask)))
+            covered |= slot_orbit(max_order, mask)
     found.sort(key=lambda g: (g.n, g.edge_count(), g.edge_mask()))
     return tuple(found)

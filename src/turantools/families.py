@@ -20,6 +20,7 @@ from turantools.graphs import (
     cycle_graph,
     decode_graph6,
     make_graph,
+    mask_from_edges,
     matching_graph,
     star_graph,
 )
@@ -54,49 +55,26 @@ def _labeled_trees(n: int):
         yield edges
 
 
-def _tree_code(n: int, edges) -> str:
-    """Canonical code of a tree: the AHU string rooted at its centre.
-
-    A bicentral tree joins the sorted codes of the two halves, so two trees
-    share a code exactly when they are isomorphic.
-    """
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    degree = [len(a) for a in nbrs]
-    layer = [v for v in range(n) if degree[v] <= 1]
-    left = n
-    while left > 2:  # peel leaves until the centre (one or two vertices) remains
-        left -= len(layer)
-        nxt = []
-        for leaf in layer:
-            for w in nbrs[leaf]:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    nxt.append(w)
-        layer = nxt
-
-    def code(v: int, parent: int) -> str:
-        return "(" + "".join(sorted(code(w, v) for w in nbrs[v] if w != parent)) + ")"
-
-    if len(layer) == 1:
-        return code(layer[0], -1)
-    a, b = layer
-    return "".join(sorted((code(a, b), code(b, a))))
-
-
 @lru_cache(maxsize=None)
 def tree_classes(n: int) -> tuple[Graph, ...]:
-    """Non-isomorphic trees on n vertices: the first labeled tree of each class."""
+    """Non-isomorphic trees on n vertices: the first labeled tree of each class.
+
+    The labeled trees are walked in Prufer order; one whose mask no class
+    found so far covers starts a new class, whose labeled copies (its orbit
+    under relabeling) it adds to the covered masks.  The walk stops once all
+    n^(n-2) labeled trees (Cayley) are covered.
+    """
     if n > TREES_ORDER_CAP:
         raise ValueError(f"tree enumeration capped at {TREES_ORDER_CAP} vertices")
-    reps: dict[str, Graph] = {}
+    reps: list[Graph] = []
+    covered: set[int] = set()
     for edges in _labeled_trees(n):
-        key = _tree_code(n, edges)
-        if key not in reps:
-            reps[key] = make_graph(n, edges)
-    return tuple(reps.values())
+        if mask_from_edges(n, edges) not in covered:
+            reps.append(make_graph(n, edges))
+            covered.update(labeled_copies(n, reps[-1]))
+            if len(covered) == n ** (n - 2):
+                break
+    return tuple(reps)
 
 
 class GraphFamily:

@@ -32,6 +32,41 @@ def slot_index(n: int) -> dict[Edge, int]:
     return {pair: s for s, pair in enumerate(slot_pairs(n))}
 
 
+@lru_cache(maxsize=None)
+def _transposition_swaps(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(far, k, near) delta-swap masks of each adjacent transposition (k k+1).
+
+    It exchanges slot {x,k} with {x,k+1}, k slots later, for x < k (`far`
+    holds the lower slots) and {k,y} with {k+1,y}, the next slot, for y > k+1
+    (`near`).
+    """
+    idx = slot_index(n)
+    return tuple(
+        (sum(1 << idx[x, k] for x in range(k)), k, sum(1 << idx[k, y] for y in range(k + 2, n)))
+        for k in range(n - 1)
+    )
+
+
+def slot_orbit(n: int, mask: int) -> set[int]:
+    """Orbit of an edge-slot mask under relabeling the n vertices: a closure
+    under the adjacent transpositions, which generate S_n, each applied as two
+    masked delta swaps (Knuth, TAOCP 4A 7.1.3)."""
+    gens = _transposition_swaps(n)
+    orbit = {mask}
+    todo = [mask]
+    while todo:
+        m = todo.pop()
+        for far, k, near in gens:
+            t = ((m >> k) ^ m) & far
+            g = m ^ t ^ (t << k)
+            t = ((g >> 1) ^ g) & near
+            g ^= t ^ (t << 1)
+            if g not in orbit:
+                orbit.add(g)
+                todo.append(g)
+    return orbit
+
+
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 

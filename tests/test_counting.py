@@ -1,4 +1,5 @@
 from itertools import combinations, permutations
+from math import factorial
 
 import networkx as nx
 import pytest
@@ -16,7 +17,7 @@ from turantools.counting import (
     labeled_copies,
     strip_isolated,
 )
-from turantools.families import GraphFamily
+from turantools.families import GraphFamily, tree_classes
 from turantools.graphs import (
     complete_graph,
     cycle_graph,
@@ -85,8 +86,6 @@ def test_count_copies_self_is_one():
 def test_count_family_examples():
     k4 = complete_graph(4)
     assert count_family(k4, [complete_graph(3), cycle_graph(4)]) == 7
-    from turantools.families import tree_classes
-
     assert count_family(path_graph(4), list(tree_classes(4))) == 1
     assert count_family(empty_graph(5), [complete_graph(3)]) == 0
 
@@ -167,6 +166,14 @@ def test_labeled_copies_match_all_permutations_build():
             for m in GraphFamily(spec).members(n):
                 want = _labeled_copies_by_all_permutations(n, m)
                 assert labeled_copies(n, m) == want, (n, spec)
+
+
+def test_orbit_size_times_automorphisms_is_n_factorial():
+    # orbit-stabiliser: the labeled copies come from the slot-mask orbit, the
+    # automorphism count from the embeddings counter; the two share no code
+    patterns = [*all_pattern_classes(5), *tree_classes(7), cycle_graph(8), matching_graph(8)]
+    for f in patterns:
+        assert automorphism_count(f) * len(labeled_copies(f.n, f)) == factorial(f.n), f
 
 
 def test_labeled_copies_empty_pattern():

@@ -27,7 +27,7 @@ def test_tree_classes_pairwise_noniso():
             assert not are_isomorphic(a, b)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_tree_classes_are_first_labeled_tree_of_each_class(n):
     # reference: Prufer order, isomorphism tests against the classes so far
     reps = []
@@ -47,8 +47,8 @@ def test_star_family():
 
 def test_trees_family_placements_cayley():
     fam = parse_family("trees")
-    assert len(fam.placements(4)) == 16
-    assert len(fam.placements(5)) == 125
+    for n in range(2, 8):
+        assert len(fam.placements(n)) == n ** (n - 2)
 
 
 def test_clique_and_matching_families():

@@ -66,6 +66,15 @@ def test_engine_budget_expiry():
     assert res.elapsed < 1.0
 
 
+def test_budget_holds_past_the_order_guard():
+    # the 945 perfect matchings of K_10 are built well inside the budget, so
+    # the search reaches its polls and stops near the deadline
+    t0 = time.monotonic()
+    res = exa_oracle(10, 1, GraphFamily("perfmatching"), budget=0.5, allow_large=True)
+    assert not res.complete and res.value is None
+    assert time.monotonic() - t0 < 2.0
+
+
 def test_search_polls_its_deadline_every_poll_interval():
     polls = []
 
