@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 from turantools.graphs import pair_count, slot_index, slot_pairs
 
-# search nodes between deadline checks
+# search nodes, and placements while the bitsets are built, between deadline checks
 POLL_EVERY = 1 << 16
 
 
@@ -86,17 +86,25 @@ def branch_and_bound(
     that the constraints and `leaf_ok` are invariant under relabeling the n
     vertices; it turns the lex-leader cuts on.
     """
+    def expired() -> bool:
+        return deadline is not None and clock() >= deadline
+
+    for _, allowed in constraints:
+        if not allowed:
+            raise ValueError("empty allowed-count set")
+        if min(allowed) < 0:
+            raise ValueError("copy counts are non-negative")
+    if expired():
+        return SearchResult(None, None, 0, True)
     contains = [0] * m_slots
     ends = [0] * m_slots
     checks = []  # (bits of one constraint, allowed, max, min)
     done0 = bit = 0
     for placements, allowed in constraints:
-        if not allowed:
-            raise ValueError("empty allowed-count set")
-        if min(allowed) < 0:
-            raise ValueError("copy counts are non-negative")
         cbits = 0
         for p in placements:
+            if bit and bit % POLL_EVERY == 0 and expired():
+                return SearchResult(None, None, 0, True)
             cbits |= 1 << bit
             if p:
                 ends[p.bit_length() - 1] |= 1 << bit
@@ -177,8 +185,6 @@ def branch_and_bound(
                 walk(s + 1, edges + 1, alive, done | new, mask | 1 << s, tied)
 
     try:
-        if deadline is not None and clock() >= deadline:
-            raise _Timeout
         if not (over_cap(done0) or under_min(alive0)):
             walk(0, 0, alive0, done0, 0, tied0)
     except _Timeout:

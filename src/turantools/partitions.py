@@ -123,14 +123,43 @@ def _partitions_into(n: int, k: int, max_part: int, forbidden: int = 0):
                 yield (first,) + rest
 
 
+def _most_parts(n: int, max_part: int, forbidden: int) -> int:
+    """Most parts k for which `_partitions_into(n, k, max_part, forbidden)`
+    yields something; -1 if it yields nothing for any k.
+
+    Sub-multiset sums of a partition of n are at most n, so only the bits
+    0..n of `forbidden` matter, and the memo is keyed on those alone.
+    """
+    return _most_parts_memo(n, min(max_part, n), forbidden & ((2 << n) - 1))
+
+
+@lru_cache(maxsize=1 << 16)  # every mup at A + B = 60 in turn would make 230k entries
+def _most_parts_memo(n: int, max_part: int, forbidden: int) -> int:
+    if n == 0:
+        return 0
+    best = -1
+    # first part ascending: the bound 1 + (n - first) of a first part falls
+    for first in range(1, max_part + 1):
+        if best >= 1 + n - first:
+            break
+        if not forbidden >> first & 1:
+            rest = _most_parts(n - first, first, forbidden | forbidden >> first)
+            if rest >= 0:
+                best = max(best, 1 + rest)
+    return best
+
+
 def mup(a_sum: int, b_sum: int) -> MupResult:
     """Exact maximum total part count over unique partitions of (A, B).
 
     Totals are tried from the largest down; each partition of the smaller
-    target fixes the sums the larger side's partitions must miss.  The
-    witness is the least (A-side, B-side) pair of the first total that has
-    one.  mup(1,1) is 2 by definition and carries no witness (no pair of
-    one-part partitions of 1 and 1 is value-disjoint).
+    target fixes the sums the larger side's partitions must miss.  Its reach,
+    its part count plus the most parts of a larger-side partition that
+    misses them (`_most_parts`), bounds the totals it can take part in, so
+    it is skipped at every total above its reach.  The witness is the least
+    (A-side, B-side) pair of the first total that has one.  mup(1,1) is 2 by
+    definition and carries no witness (no pair of one-part partitions of 1
+    and 1 is value-disjoint).
     """
     if a_sum < 1 or b_sum < 1:
         raise ValueError("targets must be positive")
@@ -145,14 +174,19 @@ def mup(a_sum: int, b_sum: int) -> MupResult:
     # A shared part value is a shared sum, hence forbidden, save for (A)/(B)
     # when A = B; that pair never wins, (1,...,1)/(B) has total A + 1.
     shared = 1 | (a_sum == b_sum) << a_sum
-    sides = [  # the smaller side's partitions by part count, with their forbidden sums
-        [(ps, _subset_sums(ps) & ~shared) for ps in _partitions_into(small, k, small)]
-        for k in range(small + 1)
-    ]
+    sides = []  # the smaller side's partitions by part count: (parts, forbidden, reach)
+    for k in range(small + 1):
+        side = []
+        for ps in _partitions_into(small, k, small):
+            forbidden = _subset_sums(ps) & ~shared
+            side.append((ps, forbidden, k + _most_parts(big, big, forbidden)))
+        sides.append(side)
     for total in range(a_sum + b_sum, 1, -1):
         winners = []
         for small_parts in range(max(1, total - big), min(small, total - 1) + 1):
-            for ps, forbidden in sides[small_parts]:
+            for ps, forbidden, reach in sides[small_parts]:
+                if reach < total:
+                    continue
                 for pl in _partitions_into(big, total - small_parts, big, forbidden):
                     winners.append((pl, ps) if swap else (ps, pl))
         if winners:

@@ -11,7 +11,8 @@ bit-reversed edge mask is smallest (the graph6-lexicographically smallest).
 
 `count_copies_bruteforce` counts copies by enumerating edge subsets and
 deciding isomorphism with networkx, so it shares no code with the package's
-embeddings counter.
+embeddings counter.  `count_embeddings` counts every embedding, with no
+symmetry-breaking conditions; for a pattern into itself that is |Aut|.
 """
 
 from __future__ import annotations
@@ -233,6 +234,41 @@ def count_copies_bruteforce(host, pattern) -> int:
         nx.is_isomorphic(nx.Graph(subset), f)
         for subset in combinations(host.edges(), k)
     )
+
+
+def count_embeddings(host, pattern) -> int:
+    """Injective maps pattern -> host sending pattern edges to host edges.
+
+    Backtracking on the host's adjacency bitsets: the candidates of each
+    pattern vertex are the unused host vertices of at least its degree that
+    are adjacent to the images of its placed neighbours.
+    """
+    if pattern.n > host.n:
+        return 0
+    order = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
+    host_deg = host.degrees()
+    fits = [
+        sum(1 << w for w in range(host.n) if host_deg[w] >= pattern.degree(p))
+        for p in order
+    ]
+    image = {}
+
+    def extend(k: int, used: int) -> int:
+        if k == pattern.n:
+            return 1
+        cand = fits[k] & ~used
+        for j in range(k):
+            if pattern.has_edge(order[k], order[j]):
+                cand &= host.adj[image[j]]
+        total = 0
+        while cand:
+            bit = cand & -cand
+            image[k] = bit.bit_length() - 1
+            total += extend(k + 1, used | bit)
+            cand ^= bit
+        return total
+
+    return extend(0, 0)
 
 
 def matching_first_questioner(n: int):

@@ -1,14 +1,18 @@
+import random
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from _reference import count_copies_bruteforce, to_networkx
+from _reference import count_copies_bruteforce, count_embeddings, to_networkx
 
 from turantools.counting import (
+    _fits,
+    _plan,
+    _walk,
     all_pattern_classes,
     are_isomorphic,
     automorphism_count,
@@ -19,6 +23,7 @@ from turantools.counting import (
 )
 from turantools.families import GraphFamily, tree_classes
 from turantools.graphs import (
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -239,3 +244,93 @@ def test_pattern_classes_match_a_linear_networkx_scan(k, size):
     classes = all_pattern_classes(k)
     assert len(classes) == size
     assert [encode_graph6(g) for g in classes] == _pattern_classes_by_linear_scan(k)
+
+
+def _named_patterns():
+    """K_3..K_5, K_{a,b} with a + b <= 8 (the stars among them), matchings
+    and C_4..C_6."""
+    pats = [complete_graph(r) for r in range(3, 6)]
+    pats += [complete_bipartite(a, b) for a in range(1, 5) for b in range(a, 9 - a)]
+    pats += [matching_graph(2 * m) for m in range(1, 5)]
+    pats += [cycle_graph(r) for r in range(4, 7)]
+    return pats
+
+
+def _random_host(rng, f, max_subsets=400):
+    """A random host of order f.n..8 holding a relabeled copy of f plus random
+    edges, as many as keep C(edges, |E(f)|) within max_subsets."""
+    n = rng.randint(f.n, 8)
+    img = rng.sample(range(n), f.n)
+    edges = {tuple(sorted((img[u], img[v]))) for u, v in f.edges()}
+    others = [e for e in combinations(range(n), 2) if e not in edges]
+    rng.shuffle(others)
+    for e in others:
+        if comb(len(edges) + 1, f.edge_count()) > max_subsets:
+            break
+        edges.add(e)
+    return make_graph(n, sorted(edges))
+
+
+def test_count_copies_matches_the_networkx_reference_on_random_hosts():
+    rng = random.Random(12)
+    for f in [*_named_patterns(), *all_pattern_classes(5)]:
+        for _ in range(2):
+            host = _random_host(rng, f)
+            assert count_copies(host, f) == count_copies_bruteforce(host, f), (f, host)
+        host = graph_from_mask(8, rng.getrandbits(pair_count(8)) & rng.getrandbits(pair_count(8)))
+        if comb(host.edge_count(), f.edge_count()) <= 2000:
+            assert count_copies(host, f) == count_copies_bruteforce(host, f), (f, host)
+
+
+def test_automorphism_count_is_the_unconditioned_self_embedding_count():
+    extra = [complete_bipartite(4, 4), star_graph(7), matching_graph(10)]
+    for f in [*all_pattern_classes(6), *extra]:
+        assert automorphism_count(f) == count_embeddings(f, f), f
+
+
+def _closure(plan):
+    """(j, k) pairs, j < k, with step k's image above step j's implied by the
+    plan's conditions."""
+    below = [set() for _ in plan.order]
+    for k, above in enumerate(plan.above):
+        for j in above:
+            below[k] |= {j} | below[j]
+    return {(j, k) for k in range(len(below)) for j in below[k]}
+
+
+def _with_above(plan, k, above):
+    return plan._replace(above=plan.above[:k] + (above,) + plan.above[k + 1:])
+
+
+def _mutations(plan):
+    """Copies of the plan with one condition dropped or added, each one that
+    the other conditions do not imply."""
+    closure = _closure(plan)
+    for k, above in enumerate(plan.above):
+        for j in above:
+            cut = _with_above(plan, k, tuple(i for i in above if i != j))
+            if (j, k) not in _closure(cut):
+                yield cut
+        for j in range(k):
+            if (j, k) not in closure:
+                yield _with_above(plan, k, above + (j,))
+
+
+def _walk_under(plan, host):
+    return _walk(host.adj, _fits(host, plan.degree), plan.earlier, plan.above)
+
+
+def test_mutated_conditions_are_caught():
+    # the self-walk assertion of `_plan`, or a relabeled copy of f, on which
+    # the reference counts one copy, catches every non-redundant change
+    seen = 0
+    for f in all_pattern_classes(5):
+        hosts = [f.relabel(p) for p in permutations(range(f.n))]
+        for mutated in _mutations(_plan(f)):
+            seen += 1
+            if _walk_under(mutated, f) != 1:
+                continue
+            assert any(
+                _walk_under(mutated, h) != count_copies_bruteforce(h, f) for h in hosts
+            ), (f, mutated)
+    assert seen > 100

@@ -89,6 +89,35 @@ def test_search_polls_its_deadline_every_poll_interval():
     assert len(polls) == 3 and res.nodes == 2 * POLL_EVERY
 
 
+def _counted(masks, taken):
+    for p in masks:
+        taken.append(p)
+        yield p
+
+
+def test_an_expired_deadline_stops_before_the_placement_bitsets_are_built():
+    taken = []
+    constraints = [(_counted(range(1, 3 * POLL_EVERY), taken), {1})]
+    res = branch_and_bound(pair_count(8), constraints, deadline=0.0, clock=lambda: 1.0)
+    assert res.timed_out and res.value is None and res.nodes == 0
+    assert taken == []
+
+
+def test_bitset_build_polls_its_deadline_every_poll_interval():
+    polls = []
+
+    def clock():  # the deadline passes at the second poll
+        polls.append(None)
+        return float(len(polls))
+
+    taken = []
+    constraints = [(_counted(range(1, 3 * POLL_EVERY), taken), {1})]
+    res = branch_and_bound(pair_count(8), constraints, deadline=1.5, clock=clock)
+    # polled before the build (1.0), then after 2^16 placements (2.0)
+    assert res.timed_out and res.value is None and res.nodes == 0
+    assert len(polls) == 2 and len(taken) == POLL_EVERY + 1
+
+
 def test_predicate_engine_polls_its_deadline_every_poll_interval(monkeypatch):
     polls = []
 

@@ -8,6 +8,7 @@ from turantools.families import GraphFamily
 from turantools.oracle import exa_oracle
 from turantools.partitions import (
     PartitionPair,
+    _most_parts,
     _partitions_into,
     exa1_kab,
     is_unique_partition,
@@ -132,6 +133,18 @@ def test_partitions_into_prunes_by_forbidden_sums():
                 assert list(_partitions_into(n, k, n, forbidden)) == want, (n, k)
 
 
+def test_most_parts_is_the_largest_part_count_with_a_partition():
+    for n in range(0, 15):
+        for max_part in range(1, n + 2):
+            for forbidden in (0, 0b10, 0b1000, 0b100100, 0b1010010000):
+                want = max(
+                    (k for k in range(n + 1)
+                     if next(_partitions_into(n, k, max_part, forbidden), None) is not None),
+                    default=-1,
+                )
+                assert _most_parts(n, max_part, forbidden) == want, (n, max_part, forbidden)
+
+
 def _reference_mup(a_sum: int, b_sum: int):
     """Double loop over all partition pairs, judged by the enumeration oracle."""
     for total in range(a_sum + b_sum, 1, -1):
@@ -160,6 +173,8 @@ def test_mup_at_the_budget_edge():
     # of every partition pair with a subset-sum DP
     fwd, rev = mup(6, 54), mup(54, 6)
     assert fwd.value == rev.value == 15
+    assert str(fwd.witness) == "3,3/5,5,4,4,4,4,4,4,4,4,4,4,4"
+    assert str(rev.witness) == "5,5,4,4,4,4,4,4,4,4,4,4,4/3,3"
     assert is_unique_partition(6, 54, fwd.witness)
     assert is_unique_partition(54, 6, rev.witness)
     assert _unique_by_enumeration(6, fwd.witness)
