@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -12,6 +14,8 @@ from turantools.families import GraphFamily, parse_family
 from turantools.game import (
     POLL_EVERY,
     GameState,
+    _slot_orbits,
+    _Solver,
     adversary_no_first,
     consistent_placements,
     placements,
@@ -130,6 +134,14 @@ def test_solver_order_cap():
 def test_solver_order_7_meets_the_exa1_bound():
     # L(7, K3) equals C(7,2) - exa_1(7, K3), with exa_1(n, K3) = floor((n-1)^2/4) + 2
     assert solve_L(7, K3).value == comb(7, 2) - ((7 - 1) ** 2 // 4 + 2)
+
+
+def test_x_at_order_7_meets_the_exa1_bound():
+    # x >= C(n,2) - exa_1(n,F) holds with equality for K3 (exa_1(7,K3) =
+    # floor(6^2/4) + 2 = 11) and for Hamiltonian cycles (Sheehan:
+    # exa_1(7,hamcycle) = floor(7^2/4) + 1 = 13)
+    for fam, x in ((K3, 10), (GraphFamily("hamcycle"), 8)):
+        assert solve_x(7, fam).value == comb(7, 2) - exa_oracle(7, 1, fam).value == x
 
 
 def test_x_and_xprime_of_trees_at_order_6():
@@ -322,11 +334,13 @@ def _unpruned_minimax(n, fam, cost):
 def test_solver_matches_unpruned_minimax():
     solvers = {"L": solve_L, "x": solve_x, "xprime": solve_x_prime}
     grid = [(4, K3), (4, STAR), (4, TREES), (4, KMINUS)]
-    grid += [(5, STAR), (5, GraphFamily("hamcycle"))]
-    grid += [
-        (4, GraphFamily.explicit((f,), label=encode_graph6(f)))
+    grid += [(5, K3), (5, STAR), (5, GraphFamily("hamcycle"))]
+    classes = {
+        encode_graph6(f): GraphFamily.explicit((f,), label=encode_graph6(f))
         for f in all_pattern_classes(4)
-    ]
+    }
+    grid += [(4, fam) for fam in classes.values()]
+    grid += [(5, classes["CK"]), (5, classes["C]"])]  # 2K2 and C4
     grid += [(4, parse_family("trees+clique:3"))]
     for n, fam in grid:
         for cost, cost_solve in solvers.items():
@@ -356,6 +370,47 @@ def test_solver_questioner_plays_the_first_optimal_slot():
                     if consistent_placements(nxt):
                         stack.append(nxt)
             assert seen > 1
+
+
+def _stabilizer_orbits(n, asked):
+    """Orbits of the unasked slots under every permutation of 0..n-1 that
+    maps each asked pair to itself, by brute force."""
+    pairs = slot_pairs(n)
+    fixed = [pairs[s] for s in range(len(pairs)) if asked >> s & 1]
+    group = [
+        p for p in permutations(range(n))
+        if all({p[u], p[v]} == {u, v} for u, v in fixed)
+    ]
+    orbits = {
+        frozenset(pairs.index(tuple(sorted((p[u], p[v])))) for p in group)
+        for s, (u, v) in enumerate(pairs)
+        if not asked >> s & 1
+    }
+    return sorted(sorted(o) for o in orbits)
+
+
+def test_slot_orbits_match_a_brute_force_stabilizer():
+    rng = random.Random(13)
+    for n in (4, 5):
+        m = comb(n, 2)
+        masks = [
+            sum(1 << s for s in c) for k in range(3) for c in combinations(range(m), k)
+        ]
+        masks += [rng.getrandbits(m) for _ in range(30)]
+        solver = _Solver(n, K3, "x")
+        for asked in masks:
+            orbits = _slot_orbits(n, asked)
+            assert orbits == _stabilizer_orbits(n, asked), (n, asked)
+            # the solver tries the smallest slot of each orbit, or every slot
+            # (asked mask -1) once each orbit is a single slot
+            moves, child_asked = solver._moves(asked)
+            if all(len(o) == 1 for o in orbits):
+                assert child_asked == -1
+                assert [b for b, _ in moves] == [1 << s for s in range(m)]
+            else:
+                assert child_asked == asked
+                assert [b for b, _ in moves] == [1 << o[0] for o in orbits]
+            assert all(c == solver.contains[b.bit_length() - 1] for b, c in moves)
 
 
 def test_sweep_smoke():
