@@ -37,6 +37,7 @@ from turantools.graphs import (
     graph_from_mask,
     mask_from_edges,
     pair_count,
+    slot_index,
     slot_pairs,
 )
 from turantools.oracle import exa_oracle, exa_prime_oracle
@@ -65,8 +66,22 @@ class GameState:
     def asked(self) -> frozenset[Edge]:
         return frozenset(self.yes) | frozenset(self.no)
 
-    def answer(self, query: Edge, is_yes: bool) -> "GameState":
+    def checked(self, query: Edge) -> Edge:
+        """The query as (low, high); ValueError unless it is an unasked pair of 0..n-1."""
         q = (min(query), max(query))
+        if q not in slot_index(self.n):
+            raise ValueError(f"{tuple(query)} is not a pair of vertices 0..{self.n - 1}")
+        if q in self.asked():
+            raise ValueError(f"pair {q} was already asked")
+        return q
+
+    def survivors(self) -> list[int]:
+        """Placement masks holding every YES pair and missing every NO pair."""
+        yes, no = self.yes_mask(), self.no_mask()
+        return [p for p in self.fam.placements(self.n) if p & no == 0 and yes & ~p == 0]
+
+    def answer(self, query: Edge, is_yes: bool) -> "GameState":
+        q = self.checked(query)
         if is_yes:
             return GameState(self.n, self.fam, self.yes + (q,), self.no)
         return GameState(self.n, self.fam, self.yes, self.no + (q,))
@@ -76,9 +91,11 @@ class GameState:
 class GameValue:
     """A solved game value and the optimal first queries.
 
-    `first_moves` lists only informative optimal pairs: pairs some but not
-    every consistent placement uses.  When one placement survives from the
-    start, it is empty even for x', whose questioner still has to ask the
+    `first_moves` lists the informative optimal pairs: pairs some but not
+    every consistent placement uses.  The relabelings of the vertices map the
+    placements to themselves, so with two or more placements every pair is
+    informative and optimal, and `first_moves` is every pair.  With one
+    placement it is empty, even for x', whose questioner still has to ask the
     placement's edges: `solver_questioner` then opens with the lowest of
     them, and `value` counts them.
     """
@@ -102,30 +119,17 @@ def placements(n: int, fam: GraphFamily) -> list[tuple[Edge, ...]]:
     return sorted(graph_from_mask(n, p).edges() for p in fam.placements(n))
 
 
-def _consistent_masks(masks, yes: int, no: int) -> list[int]:
-    return [p for p in masks if p & no == 0 and yes & ~p == 0]
-
-
 def consistent_placements(state: GameState) -> list[tuple[Edge, ...]]:
     """Placements containing every YES pair and avoiding every NO pair."""
-    yes, no = state.yes_mask(), state.no_mask()
-    if yes & no:
+    if state.yes_mask() & state.no_mask():
         raise ValueError("a pair cannot be answered both YES and NO")
-    return sorted(
-        graph_from_mask(state.n, p).edges()
-        for p in _consistent_masks(state.fam.placements(state.n), yes, no)
-    )
+    return sorted(graph_from_mask(state.n, p).edges() for p in state.survivors())
 
 
 def adversary_no_first(state: GameState, query: Edge) -> bool:
     """NO whenever some consistent placement excludes the query, else YES."""
-    q = (min(query), max(query))
-    if q in state.asked():
-        raise ValueError(f"pair {q} was already asked")
-    qbit = mask_from_edges(state.n, [q])
-    cons = _consistent_masks(
-        state.fam.placements(state.n), state.yes_mask(), state.no_mask()
-    )
+    qbit = 1 << slot_index(state.n)[state.checked(query)]
+    cons = state.survivors()
     if not cons:
         raise AdversaryError("no consistent placement remains")
     return all(p & qbit for p in cons)
@@ -294,40 +298,15 @@ class _Solver:
             t += 1
         return t
 
-    def _optimal_slots(self, S: int, A: int):
-        """S's optimal informative slots, one per orbit of A's stabilizer, ascending."""
-        v = self.value(S, A)
-        t_yes = v - self.cost_yes
-        moves, A = self._moves(A)
-        # the loop of `_at_most`, which does not share it: a generator call
-        # per state there costs about 8 % of the game benchmark's wall time
-        for b, c in moves:
-            s_yes = S & c
-            if (
-                s_yes
-                and s_yes != S
-                and self._at_most(S ^ s_yes, v - 1, A | b)
-                and self._at_most(s_yes, t_yes, A | b)
-            ):
-                yield b.bit_length() - 1
-
     def solve(self) -> GameValue:
-        root = (1 << len(self.masks)) - 1
-        pairs = slot_pairs(self.n)
         try:
             self._poll()
-            v = self.value(root, 0)
-            best = set(self._optimal_slots(root, 0))
-            moves = tuple(
-                sorted(
-                    pairs[s]
-                    for orbit in _slot_orbits(self.n, 0)
-                    if orbit[0] in best
-                    for s in orbit
-                )
-            )
+            v = self.value((1 << len(self.masks)) - 1, 0)
         except UnsolvedError:
             return GameValue(None, (), len(self.bounds), False)
+        # the relabelings fix the root survivors: all pairs are one orbit, and
+        # each is informative once two placements exist (see `GameValue`)
+        moves = tuple(sorted(slot_pairs(self.n))) if len(self.masks) > 1 else ()
         return GameValue(v, moves, len(self.bounds), True)
 
     def best_query(self, yes: int, no: int) -> int | None:
@@ -343,8 +322,22 @@ class _Solver:
                 if remaining:
                     return (remaining & -remaining).bit_length() - 1
             return None
-        # the smallest optimal slot is the smallest of its orbit
-        return next(self._optimal_slots(S, yes | no))
+        v = self.value(S, yes | no)
+        t_yes = v - self.cost_yes
+        moves, A = self._moves(yes | no)
+        # the moves are the orbits' smallest slots, ascending, and every slot
+        # of an orbit is optimal with its representative: the first that
+        # passes is the smallest optimal slot
+        for b, c in moves:
+            s_yes = S & c
+            if (
+                s_yes
+                and s_yes != S
+                and self._at_most(S ^ s_yes, v - 1, A | b)
+                and self._at_most(s_yes, t_yes, A | b)
+            ):
+                return b.bit_length() - 1
+        raise AssertionError("a state of value v has a move passing at v")
 
 
 def solve_L(n: int, fam: GraphFamily, **kw) -> GameValue:
@@ -397,22 +390,19 @@ def simulate(n: int, fam: GraphFamily, questioner, adversary) -> Transcript:
     identification; the adversary returns True for YES.  Raises
     AdversaryError if an answer leaves no consistent placement.
     """
-    masks = fam.placements(n)
     state = GameState(n, fam)
     record: list[tuple[Edge, bool]] = []
     for _ in range(pair_count(n) + 1):
         q = questioner(state)
         if q is None:
             break
-        q = (min(q), max(q))
-        if q in state.asked():
-            raise ValueError(f"questioner repeated pair {q}")
+        q = state.checked(q)
         ans = bool(adversary(state, q))
         state = state.answer(q, ans)
-        if not _consistent_masks(masks, state.yes_mask(), state.no_mask()):
+        if not state.survivors():
             raise AdversaryError(f"answer {ans} on {q} left no consistent placement")
         record.append((q, ans))
-    cons = _consistent_masks(masks, state.yes_mask(), state.no_mask())
+    cons = state.survivors()
     if len(cons) != 1:
         raise ValueError(
             f"questioner stopped with {len(cons)} consistent placements"
@@ -439,8 +429,7 @@ def questioner_extremal_strategy(n: int, pattern: Graph, g_ext: Graph):
     non_edges = complement(g_ext).edges()
 
     def questioner(state: GameState) -> Edge | None:
-        cons = consistent_placements(state)
-        if len(cons) == 1:
+        if len(state.survivors()) == 1:
             return None
         asked = state.asked()
         if not state.yes:
@@ -466,7 +455,6 @@ def questioner_extremal_strategy(n: int, pattern: Graph, g_ext: Graph):
 
 def strategy_worst_case(n: int, fam: GraphFamily, questioner) -> int:
     """Max total queries of a deterministic questioner over all valid adversaries."""
-    masks = fam.placements(n)
     memo: dict[tuple[int, int], int] = {}
 
     def walk(state: GameState) -> int:
@@ -475,15 +463,14 @@ def strategy_worst_case(n: int, fam: GraphFamily, questioner) -> int:
             return memo[key]
         q = questioner(state)
         if q is None:
-            cons = _consistent_masks(masks, *key)
-            if len(cons) != 1:
+            if len(state.survivors()) != 1:
                 raise ValueError("questioner stopped before identification")
             memo[key] = 0
             return 0
         best = None
         for ans in (False, True):
             nxt = state.answer(q, ans)
-            if _consistent_masks(masks, nxt.yes_mask(), nxt.no_mask()):
+            if nxt.survivors():
                 v = 1 + walk(nxt)
                 if best is None or v > best:
                     best = v

@@ -152,14 +152,14 @@ def _most_parts_memo(n: int, max_part: int, forbidden: int) -> int:
 def mup(a_sum: int, b_sum: int) -> MupResult:
     """Exact maximum total part count over unique partitions of (A, B).
 
-    Totals are tried from the largest down; each partition of the smaller
-    target fixes the sums the larger side's partitions must miss.  Its reach,
-    its part count plus the most parts of a larger-side partition that
-    misses them (`_most_parts`), bounds the totals it can take part in, so
-    it is skipped at every total above its reach.  The witness is the least
-    (A-side, B-side) pair of the first total that has one.  mup(1,1) is 2 by
-    definition and carries no witness (no pair of one-part partitions of 1
-    and 1 is value-disjoint).
+    Each partition of the smaller target fixes the sums the larger side's
+    partitions must miss.  Its reach, its part count plus the most parts of
+    a larger-side partition that misses them (`_most_parts`, exact), is the
+    largest total it takes part in, so the value is the largest reach.  The
+    witness is the least (A-side, B-side) pair at that total, drawn from the
+    smaller-side partitions that reach it.  mup(1,1) is 2 by definition and
+    carries no witness (no pair of one-part partitions of 1 and 1 is
+    value-disjoint).
     """
     if a_sum < 1 or b_sum < 1:
         raise ValueError("targets must be positive")
@@ -174,25 +174,19 @@ def mup(a_sum: int, b_sum: int) -> MupResult:
     # A shared part value is a shared sum, hence forbidden, save for (A)/(B)
     # when A = B; that pair never wins, (1,...,1)/(B) has total A + 1.
     shared = 1 | (a_sum == b_sum) << a_sum
-    sides = []  # the smaller side's partitions by part count: (parts, forbidden, reach)
-    for k in range(small + 1):
-        side = []
+    sides = []  # the smaller side's partitions: (parts, forbidden, reach)
+    for k in range(1, small + 1):
         for ps in _partitions_into(small, k, small):
             forbidden = _subset_sums(ps) & ~shared
-            side.append((ps, forbidden, k + _most_parts(big, big, forbidden)))
-        sides.append(side)
-    for total in range(a_sum + b_sum, 1, -1):
-        winners = []
-        for small_parts in range(max(1, total - big), min(small, total - 1) + 1):
-            for ps, forbidden, reach in sides[small_parts]:
-                if reach < total:
-                    continue
-                for pl in _partitions_into(big, total - small_parts, big, forbidden):
-                    winners.append((pl, ps) if swap else (ps, pl))
-        if winners:
-            pa, pb = min(winners)
-            return MupResult(total, PartitionPair(pa, pb))
-    raise AssertionError("unreachable: the all-ones-vs-single split is unique")
+            sides.append((ps, forbidden, k + _most_parts(big, big, forbidden)))
+    value = max(reach for _, _, reach in sides)
+    pa, pb = min(
+        (pl, ps) if swap else (ps, pl)
+        for ps, forbidden, reach in sides
+        if reach == value
+        for pl in _partitions_into(big, value - len(ps), big, forbidden)
+    )
+    return MupResult(value, PartitionPair(pa, pb))
 
 
 @lru_cache(maxsize=None)

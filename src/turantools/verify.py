@@ -464,6 +464,7 @@ def suite_games(jobs: int = 1) -> dict:
         (5, "star"): {"L": 3, "x": 2},
         (4, "trees"): {"L": 5, "x": 3},
         (4, "kminus"): {"L": 5, "x": 1},
+        (4, "clique:3"): {"L": comb(4, 2) - by_key[(4, "clique:3")]["exa1"]},
     }
     value_checks = []
     for key, wants in expected.items():
@@ -479,17 +480,6 @@ def suite_games(jobs: int = 1) -> dict:
                     "equal": row[field] == want,
                 }
             )
-    k3row = by_key[(4, "clique:3")]
-    value_checks.append(
-        {
-            "n": 4,
-            "family": "clique:3",
-            "quantity": "L",
-            "got": k3row["L"],
-            "want": comb(4, 2) - k3row["exa1"],
-            "equal": k3row["L"] == comb(4, 2) - k3row["exa1"],
-        }
-    )
 
     # family-vs-member gap, reported exactly (strict from n=5 on)
     gap_rows = []

@@ -1,8 +1,11 @@
 import argparse
 import json
+import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from turantools import cli, oracle, verify
 from turantools.graphs import complete_graph, encode_graph6
@@ -253,3 +256,19 @@ def test_jobs_do_not_change_output():
     parallel = run_cli(base + ["--jobs", "4"])
     assert serial.returncode == parallel.returncode == 0
     assert serial.stdout == parallel.stdout
+
+
+def test_readme_examples_exit_zero(capsys):
+    # every `turantools ...` line in the README's fenced blocks runs as shown
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.S | re.M)
+    lines = [
+        line.strip()
+        for block in blocks
+        for line in block.splitlines()
+        if line.strip().startswith("turantools ")
+    ]
+    assert len(lines) >= 10
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
+        assert capsys.readouterr().out, line

@@ -78,6 +78,23 @@ def test_adversary_rejects_repeated_query():
         adversary_no_first(st, (0, 1))
 
 
+@pytest.mark.parametrize("query", [(0, 1), (0, 7), (2, 2)], ids=["repeated", "0-7", "2-2"])
+@pytest.mark.parametrize(
+    "play",
+    [
+        lambda q: simulate(4, K3, lambda state: q, adversary_no_first),
+        lambda q: strategy_worst_case(4, K3, lambda state: q),
+        lambda q: adversary_no_first(GameState(4, K3, no=((0, 1),)), q),
+    ],
+    ids=["simulate", "strategy_worst_case", "adversary_no_first"],
+)
+def test_bad_pairs_raise_value_error(play, query):
+    # the questioners ask `query` every turn, so (0, 1) repeats on turn two;
+    # the adversary's state has (0, 1) asked already
+    with pytest.raises(ValueError, match="already asked|not a pair"):
+        play(query)
+
+
 def test_solver_values_stars():
     assert solve_L(4, STAR).value == 2
     assert solve_L(5, STAR).value == 3
