@@ -15,7 +15,8 @@ candidate host vertices as one bitset, already cut to vertices of large
 enough degree, unused, adjacent to the images of the placed pattern
 neighbours and above the images the conditions name, and the last step adds
 that bitset's popcount.  `count_copies`, `automorphism_count` and
-`are_isomorphic` all use it.
+`are_isomorphic` all use it; `_images` walks the same candidates and yields
+each copy's map instead of counting it.
 
 The labeled copies of a pattern inside K_n, and the isomorphism classes of
 small patterns, are orbits of edge-slot masks under the relabelings of the
@@ -35,7 +36,10 @@ AUT_ORDER_CAP = 10
 
 
 def strip_isolated(g: Graph) -> Graph:
-    """Restrict to vertices of positive degree, relabeled in increasing order."""
+    """Restrict to vertices of positive degree, relabeled in increasing order;
+    g itself when it has no isolated vertex."""
+    if all(g.adj):
+        return g
     keep = [v for v in range(g.n) if g.adj[v]]
     pos = {v: i for i, v in enumerate(keep)}
     edges = [(pos[u], pos[v]) for u, v in g.edges()]
@@ -102,6 +106,35 @@ def _walk(adj, fits, earlier, above) -> int:
         return total
 
     return extend(0, 0) if fits else 1
+
+
+def _images(adj, fits, earlier, above):
+    """The maps `_walk` counts, one tuple per map: step k's image as one bit.
+
+    The same candidate bitsets as `_walk`, but the last step walks its set
+    bits too and yields each map instead of adding a popcount.
+    """
+    bits = [0] * len(fits)
+    rows = [0] * len(fits)
+    last = len(fits) - 1
+
+    def extend(k: int, used: int):
+        cand = fits[k] & ~used
+        for j in earlier[k]:
+            cand &= rows[j]
+        for j in above[k]:
+            cand &= -(bits[j] << 1)
+        while cand:
+            bit = cand & -cand
+            bits[k] = bit
+            if k == last:
+                yield tuple(bits)
+            else:
+                rows[k] = adj[bit.bit_length() - 1]
+                yield from extend(k + 1, used | bit)
+            cand ^= bit
+
+    return extend(0, 0) if fits else iter([()])
 
 
 def _fits(host: Graph, degree: tuple[int, ...]) -> list[int]:

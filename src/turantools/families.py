@@ -115,8 +115,10 @@ class GraphFamily:
             out = out + _generate(piece.strip(), n)
         return out
 
+    @lru_cache(maxsize=None)
     def placements(self, n: int) -> tuple[int, ...]:
-        """All labeled copies of all members in K_n, as edge-slot masks."""
+        """All labeled copies of all members in K_n, as edge-slot masks,
+        ascending; memoized per (family, n)."""
         masks: list[int] = []
         for m in self.members(n):
             masks.extend(labeled_copies(n, m))

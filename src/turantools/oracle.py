@@ -17,16 +17,27 @@ first optimal leaf, the witness, is the graph6-lexicographically smallest
 optimal graph.  `_reverified` re-counts a returned witness against
 the same constraint list through the independent embeddings-based copy
 counter before the result is handed back.
+
+`zeta`, the slope of the sandwich bound, is not a search over graphs: one
+conditioned walk of f into f plus a vertex joined to all of it finds every
+copy through the new vertex, and the largest attachment that contains none
+of their neighbourhoods at that vertex is the answer.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 from turantools._bnb import branch_and_bound
-from turantools.counting import count_copies, labeled_copies, strip_isolated
+from turantools.counting import (
+    _fits,
+    _images,
+    _plan,
+    count_copies,
+    labeled_copies,
+    strip_isolated,
+)
 from turantools.families import GraphFamily
 from turantools.graphs import (
     Graph,
@@ -34,7 +45,6 @@ from turantools.graphs import (
     complete_graph,
     encode_graph6,
     graph_from_mask,
-    make_graph,
     pair_count,
 )
 
@@ -236,16 +246,33 @@ def triangle_free_nonbipartite_oracle(
 
 def zeta(f: Graph) -> int:
     """Largest z such that a new vertex with z edges into a copy of f leaves
-    exactly one copy of f; 0 if every positive attachment creates another copy."""
+    exactly one copy of f; 0 if every positive attachment creates another copy.
+
+    Let h_A be f plus a vertex w joined to A, a subset of V(f).  A copy of f
+    in h_A that avoids w has |E(f)| edges inside E(f), so it is f itself;
+    every other copy uses w, and its edges at w go to A.  So with T = f plus
+    w joined to all of V(f), the copies of f in h_A other than f are the
+    copies in T through w whose w-neighbourhood (the images of the pattern
+    neighbours of the vertex sent to w) lies inside A.  One conditioned walk
+    of f into T finds these blocked sets, and z is the largest |A| that
+    contains none of them.
+    """
     f = strip_isolated(f)
     if f.edge_count() == 0:
         raise ValueError("zeta needs a pattern with at least one edge")
     if f.n > ZETA_ORDER_CAP:
         raise ValueError(f"zeta search capped at {ZETA_ORDER_CAP} vertices")
-    base = f.edges()
-    for z in range(f.n, 0, -1):
-        for attach in combinations(range(f.n), z):
-            h = make_graph(f.n + 1, list(base) + [(v, f.n) for v in attach])
-            if count_copies(h, f) == 1:
-                return z
-    return 0
+    n = f.n
+    w = 1 << n
+    joined = Graph(n + 1, tuple(row | w for row in f.adj) + (w - 1,))
+    plan = _plan(f)
+    neighbours = [  # per step, the steps of its pattern neighbours
+        [j for j, q in enumerate(plan.order) if f.has_edge(p, q)] for p in plan.order
+    ]
+    blocked = set()
+    for bits in _images(joined.adj, _fits(joined, plan.degree), plan.earlier, plan.above):
+        if w in bits:
+            blocked.add(sum(bits[j] for j in neighbours[bits.index(w)]))
+    return max(
+        a.bit_count() for a in range(w) if all(b & ~a for b in blocked)
+    )

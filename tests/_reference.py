@@ -9,6 +9,9 @@ a maximum by exhausting every denser level.  Scan modes: stop at the first
 feasible graph, or sweep the whole level keeping the feasible graph whose
 bit-reversed edge mask is smallest (the graph6-lexicographically smallest).
 
+`zeta_by_recount` tries every attachment of a new vertex to f, largest
+first, and re-counts the copies of f for each.
+
 `count_copies_bruteforce` counts copies by enumerating edge subsets and
 deciding isomorphism with networkx, so it shares no code with the package's
 embeddings counter.  `count_embeddings` counts every embedding, with no
@@ -24,10 +27,10 @@ from time import monotonic as _result_clock  # apart from `time`, which tests pa
 
 import networkx as nx
 
-from turantools.counting import labeled_copies
+from turantools.counting import count_copies, labeled_copies, strip_isolated
 from turantools.game import consistent_placements
-from turantools.graphs import graph_from_mask, pair_count, slot_pairs
-from turantools.oracle import OracleResult, _check_order, _deadline
+from turantools.graphs import graph_from_mask, make_graph, pair_count, slot_pairs
+from turantools.oracle import ZETA_ORDER_CAP, OracleResult, _check_order, _deadline
 
 # graphs between deadline checks: `max_edges_with` predicates that count
 # copies cost about 0.15 ms a graph, so about 0.6 s between checks
@@ -269,6 +272,23 @@ def count_embeddings(host, pattern) -> int:
         return total
 
     return extend(0, 0)
+
+
+def zeta_by_recount(f) -> int:
+    """Largest z such that a new vertex with z edges into a copy of f leaves
+    exactly one copy of f; 0 if every positive attachment creates another copy."""
+    f = strip_isolated(f)
+    if f.edge_count() == 0:
+        raise ValueError("zeta needs a pattern with at least one edge")
+    if f.n > ZETA_ORDER_CAP:
+        raise ValueError(f"zeta search capped at {ZETA_ORDER_CAP} vertices")
+    base = f.edges()
+    for z in range(f.n, 0, -1):
+        for attach in combinations(range(f.n), z):
+            h = make_graph(f.n + 1, list(base) + [(v, f.n) for v in attach])
+            if count_copies(h, f) == 1:
+                return z
+    return 0
 
 
 def matching_first_questioner(n: int):

@@ -11,6 +11,7 @@ from _reference import count_copies_bruteforce, count_embeddings, to_networkx
 
 from turantools.counting import (
     _fits,
+    _images,
     _plan,
     _walk,
     all_pattern_classes,
@@ -51,6 +52,16 @@ def test_strip_isolated():
     assert strip_isolated(g) == complete_graph(3)
     assert strip_isolated(empty_graph(5)) == empty_graph(0)
     assert strip_isolated(path_graph(3)) == path_graph(3)
+    # the same values as relabeling the non-isolated vertices in order, and
+    # the graph itself when none is isolated
+    for mask in range(1 << pair_count(5)):
+        g = graph_from_mask(5, mask)
+        keep = [v for v in range(5) if g.adj[v]]
+        want = make_graph(len(keep), [(keep.index(u), keep.index(v)) for u, v in g.edges()])
+        assert strip_isolated(g) == want
+        assert (strip_isolated(g) is g) == (len(keep) == 5)
+    g = empty_graph(0)
+    assert strip_isolated(g) is g
 
 
 def test_automorphism_counts():
@@ -334,3 +345,22 @@ def test_mutated_conditions_are_caught():
                 _walk_under(mutated, h) != count_copies_bruteforce(h, f) for h in hosts
             ), (f, mutated)
     assert seen > 100
+
+
+def _copy_mask(plan, f, host, bits):
+    """Host edge mask of the copy that the map `bits` (one bit per step) makes."""
+    image = {p: b.bit_length() - 1 for p, b in zip(plan.order, bits)}
+    return mask_from_edges(host.n, [tuple(sorted((image[u], image[v]))) for u, v in f.edges()])
+
+
+def test_images_yield_each_copy_once_on_random_hosts():
+    rng = random.Random(15)
+    for f in all_pattern_classes(5):
+        plan = _plan(f)
+        for _ in range(3):
+            host = _random_host(rng, f)
+            maps = list(_images(host.adj, _fits(host, plan.degree), plan.earlier, plan.above))
+            masks = {_copy_mask(plan, f, host, bits) for bits in maps}
+            assert all(m & ~host.edge_mask() == 0 for m in masks), (f, host)
+            assert len(masks) == len(maps) == count_copies(host, f), (f, host)
+            assert len(maps) == count_copies_bruteforce(host, f), (f, host)

@@ -1,6 +1,6 @@
 import pytest
 
-from turantools.counting import are_isomorphic
+from turantools.counting import are_isomorphic, labeled_copies
 from turantools.families import GraphFamily, _labeled_trees, parse_family, tree_classes
 from turantools.graphs import (
     complete_bipartite,
@@ -49,6 +49,14 @@ def test_trees_family_placements_cayley():
     fam = parse_family("trees")
     for n in range(2, 8):
         assert len(fam.placements(n)) == n ** (n - 2)
+
+
+def test_placements_are_memoized_per_family_and_order():
+    fam = parse_family("trees+clique:3")
+    first = fam.placements(5)
+    assert parse_family("trees+clique:3").placements(5) is first
+    assert first == tuple(sorted(m for g in fam.members(5) for m in labeled_copies(5, g)))
+    assert len(fam.placements(4)) == 16 + 4
 
 
 def test_clique_and_matching_families():

@@ -12,10 +12,12 @@ from turantools.counting import all_pattern_classes, count_copies, labeled_copie
 from turantools.families import GraphFamily, parse_family
 from turantools.graphs import (
     check_bipartite,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     empty_graph,
     graph_from_mask,
+    matching_graph,
     pair_count,
     path_graph,
     star_graph,
@@ -445,6 +447,21 @@ def test_zeta_examples():
     assert zeta(complete_graph(5)) == 3
     assert zeta(path_graph(3)) == 0
     assert zeta(cycle_graph(4)) == 2
+
+
+def test_zeta_matches_the_recount_reference():
+    extra = [
+        complete_graph(7),
+        complete_graph(8),
+        cycle_graph(8),
+        path_graph(8),
+        complete_bipartite(4, 4),
+        complete_bipartite(3, 5),
+        complete_bipartite(1, 7),
+        matching_graph(4),
+    ]
+    for f in [*all_pattern_classes(6), *extra]:
+        assert zeta(f) == _reference.zeta_by_recount(f), f
 
 
 def test_zeta_rejects_edgeless_and_oversize():
