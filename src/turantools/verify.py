@@ -1,17 +1,28 @@
-"""Named verification suites: formula-vs-oracle tables, one per result family.
+"""Named verification suites: each checks computed values against their oracles.
 
-Every suite returns a JSON-stable dict (no wall times, no floats) with an
-overall "ok" flag; assertions of record live in the rows.  Sweeps over
-independent parameter points can fan out over worker processes; results are
-assembled in parameter order, so the output is identical for any job count.
+Every check is one row, `{"check", <params>, "got", "want", "relation",
+"holds"}`: `got relation want` at the point named by the params, where
+`relation` is `==`, `>=` or `<=`, and `holds` is false when either side is
+None.  The params name the point and any computed value `want` is built from.
+
+A suite is a list of cases `(fn, *args)`; each `fn` is a module-level function
+(so it pickles for a worker pool) returning a list of entries.  Entries with a
+`holds` key are rows; the others are report-only notes, kept under `report`
+and never read by `ok`.  Every suite returns `{"suite", "ok", "rows",
+"report"}` with `ok = all(row["holds"])`, as a JSON-stable dict (no wall
+times, no floats).  Cases run in list order or fan out over worker processes;
+results are assembled in case order, so the output is identical for any job
+count.
 """
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from math import comb
 
 from turantools.constructions import (
+    ConstructionReport,
     build_klikk,
     build_triangle_k,
     build_unique_kab,
@@ -29,6 +40,7 @@ from turantools.game import (
     strategy_worst_case,
 )
 from turantools.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     encode_graph6,
@@ -51,6 +63,26 @@ from turantools.partitions import (
     mup_series_check,
 )
 
+_RELATIONS = {"==": operator.eq, ">=": operator.ge, "<=": operator.le}
+
+
+def _row(check: str, params: dict, got, want, relation: str = "==") -> dict:
+    """One check, `got relation want` at `params`; it fails when a side is None."""
+    holds = got is not None and want is not None and _RELATIONS[relation](got, want)
+    return {
+        "check": check,
+        **params,
+        "got": got,
+        "want": want,
+        "relation": relation,
+        "holds": holds,
+    }
+
+
+def _note(check: str, **fields) -> dict:
+    """A report-only entry: printed with the suite, never read by its `ok`."""
+    return {"check": check, **fields}
+
 
 def _pmap(fn, items, jobs: int):
     items = list(items)
@@ -61,129 +93,126 @@ def _pmap(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
+def _run_case(case: tuple) -> list[dict]:
+    fn, *args = case
+    return fn(*args)
+
+
+def _suite(name: str, cases: list[tuple], jobs: int) -> dict:
+    entries = [e for part in _pmap(_run_case, cases, jobs) for e in part]
+    rows = [e for e in entries if "holds" in e]
+    return {
+        "suite": name,
+        "ok": all(r["holds"] for r in rows),
+        "rows": rows,
+        "report": [e for e in entries if "holds" not in e],
+    }
+
+
+def _build_rows(params: dict, rep: ConstructionReport) -> list[dict]:
+    params = {**params, "graph6": encode_graph6(rep.graph)}
+    return [
+        _row("edges", params, rep.actual_edges, rep.expected_edges),
+        _row("copies", params, rep.actual_copies, rep.expected_copies),
+    ]
+
+
 # -- suite: klikk --------------------------------------------------------------
 
 
-def _klikk_oracle_row(args: tuple[int, int]) -> dict:
-    n, r = args
+def _klikk_build(n: int, r: int) -> list[dict]:
+    return _build_rows({"n": n, "r": r}, build_klikk(n, r))
+
+
+def _klikk_oracle(n: int, r: int) -> list[dict]:
     fam = GraphFamily(f"clique:{r}")
-    lhs = exa_oracle(n, 1, fam)
-    rhs = comb(r, 2) + (r - 2) * (n - r) + ex_oracle(n - r, fam).value
-    return {
-        "n": n,
-        "r": r,
-        "exa1_oracle": lhs.value,
-        "formula_rhs": rhs,
-        "equal": lhs.value == rhs,
-    }
+    formula = comb(r, 2) + (r - 2) * (n - r) + ex_oracle(n - r, fam).value
+    return [_row("exa1", {"n": n, "r": r}, exa_oracle(n, 1, fam).value, formula)]
 
 
 def suite_klikk(n_max: int = 12, jobs: int = 1) -> dict:
-    build_rows = []
-    for n in range(3, n_max + 1):
-        for r in range(3, min(n, 5) + 1):
-            rep = build_klikk(n, r)
-            build_rows.append({"n": n, "r": r, **rep.to_json()})
-    cases = [(n, 3) for n in range(3, min(7, n_max) + 1)]
-    cases += [(n, 4) for n in range(4, min(6, n_max) + 1)]
-    oracle_rows = _pmap(_klikk_oracle_row, cases, jobs)
-    ok = all(r["ok"] for r in build_rows) and all(r["equal"] for r in oracle_rows)
-    return {
-        "suite": "klikk",
-        "ok": ok,
-        "build_rows": build_rows,
-        "oracle_rows": oracle_rows,
-    }
+    cases = [
+        (_klikk_build, n, r)
+        for n in range(3, n_max + 1)
+        for r in range(3, min(n, 5) + 1)
+    ]
+    cases += [(_klikk_oracle, n, 3) for n in range(3, min(7, n_max) + 1)]
+    cases += [(_klikk_oracle, n, 4) for n in range(4, min(6, n_max) + 1)]
+    return _suite("klikk", cases, jobs)
 
 
 # -- suite: triangle -----------------------------------------------------------
 
 
-def _triangle_oracle_row(args: tuple[int, int]) -> dict:
-    n, k = args
-    formula = (n - 1) ** 2 // 4 + k + 1
-    got = exa_oracle(n, k, GraphFamily("clique:3"))
-    return {
-        "n": n,
-        "k": k,
-        "formula": formula,
-        "exa_oracle": got.value,
-        "lower_bound_holds": got.value is not None and got.value >= formula,
-        "equality": got.value == formula,
-    }
+def _triangle_build(n: int, k: int) -> list[dict]:
+    return _build_rows({"n": n, "k": k}, build_triangle_k(n, k))
+
+
+def _triangle_oracle(n: int, k: int) -> list[dict]:
+    got = exa_oracle(n, k, GraphFamily("clique:3")).value
+    return [_row("exa_k", {"n": n, "k": k}, got, (n - 1) ** 2 // 4 + k + 1, ">=")]
+
+
+def _triangle_k_fits(n: int, k: int) -> bool:
+    return n >= k + 2 and k <= (n - 1) - (n - 1) // 2
 
 
 def suite_triangle(n_max: int = 12, jobs: int = 1) -> dict:
-    build_rows = []
-    for n in range(3, n_max + 1):
-        for k in range(1, 5):
-            large = (n - 1) - (n - 1) // 2
-            if n < k + 2 or k > large:
-                continue
-            rep = build_triangle_k(n, k)
-            build_rows.append({"n": n, "k": k, **rep.to_json()})
     cases = [
-        (n, k)
+        (_triangle_build, n, k)
+        for n in range(3, n_max + 1)
+        for k in range(1, 5)
+        if _triangle_k_fits(n, k)
+    ]
+    cases += [
+        (_triangle_oracle, n, k)
         for n in range(4, min(7, n_max) + 1)
         for k in range(1, 4)
-        if n >= k + 2 and k <= (n - 1) - (n - 1) // 2
+        if _triangle_k_fits(n, k)
     ]
-    oracle_rows = _pmap(_triangle_oracle_row, cases, jobs)
-    ok = all(r["ok"] for r in build_rows) and all(
-        r["lower_bound_holds"] for r in oracle_rows
+    doc = _suite("triangle", cases, jobs)
+    oracle = [r for r in doc["rows"] if r["check"] == "exa_k"]
+    doc["report"].append(
+        _note("formula_equality", everywhere=all(r["got"] == r["want"] for r in oracle))
     )
-    return {
-        "suite": "triangle",
-        "ok": ok,
-        "build_rows": build_rows,
-        "oracle_rows": oracle_rows,
-        "equality_everywhere": all(r["equality"] for r in oracle_rows),
-    }
+    return doc
 
 
 # -- suite: classics -----------------------------------------------------------
 
 
-def _classics_case(case: tuple) -> dict:
-    kind = case[0]
-    if kind == "hetyei":
-        n = case[1]
-        got = exa_oracle(n, 1, GraphFamily("perfmatching"))
-        want = n * n // 4
-    elif kind == "sheehan":
-        n = case[1]
-        got = exa_oracle(n, 1, GraphFamily("hamcycle"))
-        want = n * n // 4 + 1
-    elif kind == "turan":
-        n, r = case[1], case[2]
-        got = ex_oracle(n, GraphFamily(f"clique:{r + 1}"))
-        want = turan_graph(n, r).edge_count()
-    elif kind == "brouwer":
-        n = case[1]
-        got = triangle_free_nonbipartite_oracle(n)
-        want = (n - 1) ** 2 // 4 + 1
-    else:
-        raise ValueError(kind)
-    return {
-        "case": list(case),
-        "oracle": got.value,
-        "expected": want,
-        "equal": got.value == want,
-        "witness_graph6": encode_graph6(got.witness) if got.witness else None,
-    }
+def _classic(check: str, params: dict, got, want: int) -> list[dict]:
+    witness = encode_graph6(got.witness) if got.witness else None
+    return [_row(check, {**params, "witness_graph6": witness}, got.value, want)]
+
+
+def _hetyei(n: int) -> list[dict]:
+    got = exa_oracle(n, 1, GraphFamily("perfmatching"))
+    return _classic("hetyei", {"n": n}, got, n * n // 4)
+
+
+def _sheehan(n: int) -> list[dict]:
+    got = exa_oracle(n, 1, GraphFamily("hamcycle"))
+    return _classic("sheehan", {"n": n}, got, n * n // 4 + 1)
+
+
+def _turan(n: int, r: int) -> list[dict]:
+    got = ex_oracle(n, GraphFamily(f"clique:{r + 1}"))
+    return _classic("turan", {"n": n, "r": r}, got, turan_graph(n, r).edge_count())
+
+
+def _brouwer(n: int) -> list[dict]:
+    got = triangle_free_nonbipartite_oracle(n)
+    return _classic("brouwer", {"n": n}, got, (n - 1) ** 2 // 4 + 1)
 
 
 def suite_classics(n_max: int = 8, jobs: int = 1) -> dict:
-    cases: list[tuple] = [("hetyei", 4), ("hetyei", 6), ("sheehan", 4), ("sheehan", 6)]
+    cases = [(_hetyei, 4), (_hetyei, 6), (_sheehan, 4), (_sheehan, 6)]
     cases += [
-        ("turan", n, r)
-        for n in range(2, n_max + 1)
-        for r in range(1, 5)
-        if r <= n
+        (_turan, n, r) for n in range(2, n_max + 1) for r in range(1, min(n, 4) + 1)
     ]
-    cases += [("brouwer", n) for n in range(5, n_max + 1)]
-    rows = _pmap(_classics_case, cases, jobs)
-    return {"suite": "classics", "ok": all(r["equal"] for r in rows), "rows": rows}
+    cases += [(_brouwer, n) for n in range(5, n_max + 1)]
+    return _suite("classics", cases, jobs)
 
 
 # -- suite: sandwich -----------------------------------------------------------
@@ -196,376 +225,269 @@ _SANDWICH_PATTERNS = {
 }
 
 
-def _sandwich_row(args: tuple[str, int, int]) -> dict:
-    name, n, k = args
-    pattern = _SANDWICH_PATTERNS[name]
-    fam = GraphFamily.explicit((pattern,), label=name)
-    v = pattern.n
+def _sandwich_family(name: str) -> GraphFamily:
+    return GraphFamily.explicit((_SANDWICH_PATTERNS[name],), label=name)
+
+
+def _lower_want(n: int, k: int, v: int, ex_val: int) -> int:
+    # n * exa >= (n - 2kv) * ex, in integers: exa is an integer, so it may
+    # be compared with the ceiling of the right side over n
+    return -(-(n - 2 * k * v) * ex_val // n)
+
+
+def _sandwich_point(name: str, n: int, k: int) -> list[dict]:
+    fam = _sandwich_family(name)
     ex_val = ex_oracle(n, fam).value
     exa_val = exa_oracle(n, k, fam).value
-    exists = exa_val is not None
-    # both bounds presuppose a graph with exactly k copies exists;
-    # compare n*exa against (n - 2kv)*ex to stay in integers
-    lower_ok = not exists or n * exa_val >= (n - 2 * k * v) * ex_val
-    upper_ok = not exists or exa_val <= ex_val + k
-    return {
-        "pattern": name,
-        "n": n,
-        "k": k,
-        "ex": ex_val,
-        "exa_k": exa_val,
-        "exists": exists,
-        "lower_ok": lower_ok,
-        "upper_ok": upper_ok,
-    }
+    params = {"pattern": name, "n": n, "k": k, "ex": ex_val}
+    if exa_val is None:  # both bounds presuppose a graph with exactly k copies
+        return [_note("no_exact_k_graph", **params)]
+    v = _SANDWICH_PATTERNS[name].n
+    return [
+        _row("sandwich_lower", params, exa_val, _lower_want(n, k, v, ex_val), ">="),
+        _row("sandwich_upper", params, exa_val, ex_val + k, "<="),
+    ]
 
 
-def _prop23_row(args: tuple[str, int]) -> dict:
-    name, n = args
+def _disconnected_point(n: int, k: int) -> list[dict]:
+    # two independent edges; the component family is {K_2}
+    ex_components = ex_oracle(n, GraphFamily("clique:2")).value
+    exa_val = exa_oracle(n, k, GraphFamily("matching:4")).value
+    params = {"pattern": "2K2", "n": n, "k": k, "ex_components": ex_components}
+    if exa_val is None:
+        return [_note("no_exact_k_graph", **params)]
+    want = _lower_want(n, k, 4, ex_components)
+    return [_row("components_lower", params, exa_val, want, ">=")]
+
+
+def _attachment_bound(name: str, n: int) -> list[dict]:
     pattern = _SANDWICH_PATTERNS[name]
-    fam = GraphFamily.explicit((pattern,), label=name)
+    fam = _sandwich_family(name)
     v = pattern.n
     z = zeta(pattern)
-    exa1 = exa_oracle(n, 1, fam).value
     rest = ex_oracle(n - v, fam).value if n - v >= 2 else 0
     bound = comb(v, 2) + z * (n - v) + rest
-    return {
-        "pattern": name,
-        "n": n,
-        "zeta": z,
-        "exa1": exa1,
-        "bound": bound,
-        "holds": exa1 is not None and exa1 <= bound,
-    }
+    got = exa_oracle(n, 1, fam).value
+    params = {"pattern": name, "n": n, "zeta": z}
+    return [_row("attachment_bound", params, got, bound, "<=")]
+
+
+def _star_point(n: int, k: int) -> list[dict]:
+    fam = GraphFamily.explicit((star_graph(3),), label="S3")
+    ex_val = ex_oracle(n, fam).value
+    exa_val = exa_oracle(n, k, fam).value
+    params = {"n": n, "k": k, "ex": ex_val}
+    return [
+        _row("star_lower", params, exa_val, ex_val + k // 2 - 1, ">="),
+        # r = 3: n(r-1)/2 + k/2, both even here
+        _row("star_even", params, exa_val, n * 2 // 2 + k // 2),
+    ]
 
 
 def suite_sandwich(jobs: int = 1) -> dict:
-    tight_cases = [
-        (name, n, k)
+    cases = [
+        (_sandwich_point, name, n, k)
         for name in ("K3", "C4", "C5")
         for n in (5, 6, 7)
         for k in (1, 2, 3)
     ]
-    tight_rows = _pmap(_sandwich_row, tight_cases, jobs)
-
-    # disconnected pattern: two independent edges; component family is {K_2}
-    disc_rows = []
-    fam_2k2 = GraphFamily("matching:4")
-    for n in (4, 5, 6):
-        ex_components = ex_oracle(n, GraphFamily("clique:2")).value
-        for k in (1, 2):
-            exa_val = exa_oracle(n, k, fam_2k2).value
-            exists = exa_val is not None
-            disc_rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "ex_components": ex_components,
-                    "exa_k": exa_val,
-                    "exists": exists,
-                    "holds": not exists
-                    or n * exa_val >= (n - 2 * k * 4) * ex_components,
-                }
-            )
-
-    prop23_cases = [
-        (name, n)
-        for name, v in (("K3", 3), ("K4", 4), ("C4", 4))
-        for n in range(v, 8)
+    cases += [(_disconnected_point, n, k) for n in (4, 5, 6) for k in (1, 2)]
+    cases += [
+        (_attachment_bound, name, n)
+        for name in ("K3", "K4", "C4")
+        for n in range(_SANDWICH_PATTERNS[name].n, 8)
     ]
-    prop23_rows = _pmap(_prop23_row, prop23_cases, jobs)
-
-    star = star_graph(3)
-    star_rows = []
-    for n in (5, 6):
-        fam = GraphFamily.explicit((star,), label="S3")
-        ex_val = ex_oracle(n, fam).value
-        for k in (2, 4):
-            exa_val = exa_oracle(n, k, fam).value
-            lb = ex_val + k // 2 - 1
-            exact = n * 2 // 2 + k // 2  # r = 3: n(r-1)/2 + k/2, both even here
-            star_rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "ex": ex_val,
-                    "exa_k": exa_val,
-                    "lower_bound": lb,
-                    "even_case_value": exact,
-                    "lower_ok": exa_val is not None and exa_val >= lb,
-                    "even_case_ok": exa_val == exact,
-                }
-            )
-
-    ok = (
-        all(r["lower_ok"] and r["upper_ok"] for r in tight_rows)
-        and all(r["holds"] for r in disc_rows)
-        and all(r["holds"] for r in prop23_rows)
-        and all(r["lower_ok"] and r["even_case_ok"] for r in star_rows)
-    )
-    return {
-        "suite": "sandwich",
-        "ok": ok,
-        "connected_rows": tight_rows,
-        "disconnected_rows": disc_rows,
-        "attachment_bound_rows": prop23_rows,
-        "star_rows": star_rows,
-    }
+    cases += [(_star_point, n, k) for n in (5, 6) for k in (2, 4)]
+    return _suite("sandwich", cases, jobs)
 
 
 # -- suite: kab ----------------------------------------------------------------
 
 
-def _kab_oracle_row(args: tuple[int, int]) -> dict:
-    a, b = args
-    formula = exa1_kab(a, b)
-    fam = GraphFamily(f"bipartite:{a},{b}")
-    got = exa_oracle(a + b, 1, fam)
-    return {
-        "a": a,
-        "b": b,
-        "formula": formula,
-        "oracle": got.value,
-        "equal": formula == got.value,
-    }
+def _worked_example(a: int, b: int, pp: PartitionPair, expected: bool) -> list[dict]:
+    params = {"a": a, "b": b, "pair": str(pp)}
+    return [_row("unique", params, is_unique_partition(a, b, pp), expected)]
+
+
+def _mup_bounds(a: int, b: int) -> list[dict]:
+    val = mup(a, b).value
+    return [
+        _row("mup_lower", {"a": a, "b": b}, val, a + 1, ">="),
+        _row("mup_upper", {"a": a, "b": b}, val, a + b, "<="),
+    ]
+
+
+def _kab_oracle(a: int, b: int) -> list[dict]:
+    got = exa_oracle(a + b, 1, GraphFamily(f"bipartite:{a},{b}")).value
+    return [_row("exa1", {"a": a, "b": b}, got, exa1_kab(a, b))]
+
+
+def _kab_build(a: int, b: int) -> list[dict]:
+    witness = mup(a, b).witness
+    if witness is None:
+        return []
+    return _build_rows({"a": a, "b": b}, build_unique_kab(a, b, witness))
 
 
 def suite_kab(jobs: int = 1) -> dict:
-    worked = [
-        {
-            "a": a,
-            "b": b,
-            "pair": str(pp),
-            "unique": is_unique_partition(a, b, pp),
-            "expected": expected,
-        }
-        for a, b, pp, expected in (
-            (6, 53, PartitionPair((3, 3), (13, 13, 13, 13, 1)), True),
-            (6, 53, PartitionPair((3, 3), (50, 3)), False),
-            (6, 6, PartitionPair((3, 3), (2, 2, 2)), True),
-            (6, 6, PartitionPair((3, 3), (3, 3)), False),
-        )
+    cases = [
+        (_worked_example, 6, 53, PartitionPair((3, 3), (13, 13, 13, 13, 1)), True),
+        (_worked_example, 6, 53, PartitionPair((3, 3), (50, 3)), False),
+        (_worked_example, 6, 6, PartitionPair((3, 3), (2, 2, 2)), True),
+        (_worked_example, 6, 6, PartitionPair((3, 3), (3, 3)), False),
+        (_mup_bounds, 1, 1),
     ]
-    worked_ok = all(r["unique"] == r["expected"] for r in worked)
-
-    base_ok = mup(1, 1).value == 2
-    bound_rows = []
-    for a in range(2, 11):
-        for b in range(a, 11):
-            val = mup(a, b).value
-            bound_rows.append(
-                {
-                    "a": a,
-                    "b": b,
-                    "mup": val,
-                    "bounds_ok": a + 1 <= val <= a + b,
-                }
-            )
-
-    oracle_cases = [(a, b) for a in range(1, 7) for b in range(a, 7) if a + b <= 7]
-    oracle_rows = _pmap(_kab_oracle_row, oracle_cases, jobs)
-
-    builder_rows = []
-    for a, b in oracle_cases:
-        res = mup(a, b)
-        if res.witness is None:
-            continue
-        rep = build_unique_kab(a, b, res.witness)
-        builder_rows.append({"a": a, "b": b, **rep.to_json()})
-
-    ok = (
-        worked_ok
-        and base_ok
-        and all(r["bounds_ok"] for r in bound_rows)
-        and all(r["equal"] for r in oracle_rows)
-        and all(r["ok"] for r in builder_rows)
-    )
-    return {
-        "suite": "kab",
-        "ok": ok,
-        "worked_examples": worked,
-        "mup_1_1": mup(1, 1).value,
-        "bound_rows": bound_rows,
-        "oracle_rows": oracle_rows,
-        "builder_rows": builder_rows,
-    }
+    cases += [(_mup_bounds, a, b) for a in range(2, 11) for b in range(a, 11)]
+    pairs = [(a, b) for a in range(1, 7) for b in range(a, 7) if a + b <= 7]
+    cases += [(_kab_oracle, a, b) for a, b in pairs]
+    cases += [(_kab_build, a, b) for a, b in pairs]
+    return _suite("kab", cases, jobs)
 
 
 # -- suite: mup-series -----------------------------------------------------------
 
 
+def _mup_series(c: int, n_max: int) -> list[dict]:
+    rep = mup_series_check(c, n_max)
+    entries = []
+    for r in rep["rows"]:
+        params = {"c": c, "n": r["n"], "mup": r["mup"], "witness": r["witness"]}
+        entries.append(_row("divisor_cap", params, r["divisor_ok"], True))
+        entries.append(
+            _note(
+                "series_trend",
+                c=c,
+                n=r["n"],
+                delta_vs_formula=r["delta_vs_formula"],
+                nu_part_fraction=r["nu_part_fraction"],
+            )
+        )
+    entries.append(
+        _note(
+            "step_prefix",
+            c=c,
+            nu=rep["nu"],
+            n_max=n_max,
+            last_step_failure=rep["last_step_failure"],
+        )
+    )
+    return entries
+
+
 def suite_mup_series(n_max: int = 40, jobs: int = 1) -> dict:
-    reports = [mup_series_check(c, n_max) for c in range(1, 5)]
-    ok = all(rep["divisor_property_all"] for rep in reports)
-    return {
-        "suite": "mup-series",
-        "ok": ok,
-        "reports": reports,
-        "step_prefixes": {str(rep["c"]): rep["last_step_failure"] for rep in reports},
-    }
+    return _suite("mup-series", [(_mup_series, c, n_max) for c in range(1, 5)], jobs)
 
 
 # -- suite: games ----------------------------------------------------------------
 
+# the pinned game values; "pairs-exa1" stands for C(n,2) - exa_1(n, F)
+_GAME_VALUES = (
+    (4, "star", {"L": 2, "x": 2}),
+    (5, "star", {"L": 3, "x": 2}),
+    (4, "trees", {"L": 5, "x": 3}),
+    (4, "kminus", {"L": 5, "x": 1}),
+    (4, "clique:3", {"L": "pairs-exa1"}),
+    (4, "trees+clique:3", {}),
+)
 
-def _game_instance(n: int, spec: str) -> dict:
+
+def _game_instance(n: int, spec: str, wants: dict) -> list[dict]:
     fam = GraphFamily(spec)
     total = comb(n, 2)
-    l_res = solve_L(n, fam)
-    x_res = solve_x(n, fam)
-    xp_res = solve_x_prime(n, fam)
+    got = {
+        "L": solve_L(n, fam).value,
+        "x": solve_x(n, fam).value,
+        "xprime": solve_x_prime(n, fam).value,
+    }
     exa1 = exa_oracle(n, 1, fam).value
     exap = exa_prime_oracle(n, fam).value
+    floor = None if exa1 is None else total - exa1
+    params = {"n": n, "family": spec}
+    rows = [
+        _row("value_" + q, params, got[q], floor if want == "pairs-exa1" else want)
+        for q, want in wants.items()
+    ]
+    rows += [
+        # C(n,2) - exa1 <= x <= L <= x'
+        _row("chain_x", {**params, "exa1": exa1}, got["x"], floor, ">="),
+        _row("chain_L", params, got["L"], got["x"], ">="),
+        _row("chain_xprime", params, got["xprime"], got["L"], ">="),
+        _row(
+            "prime_bound",
+            {**params, "exa_prime1": exap},
+            got["xprime"],
+            None if exap is None else total - exap,
+            ">=",
+        ),
+    ]
     e_uniform = fam.uniform_edge_count(n)
-    chain_ok = (
-        exa1 is not None
-        and total - exa1 <= x_res.value <= l_res.value <= xp_res.value
-    )
-    prime_ok = exap is not None and total - exap <= xp_res.value
-    uniform_ok = (
-        e_uniform is None or x_res.value + e_uniform == xp_res.value
-    )
+    if e_uniform is not None:
+        uniform = {**params, "uniform_edges": e_uniform}
+        x_plus_e = got["x"] + e_uniform
+        rows.append(_row("uniform_identity", uniform, x_plus_e, got["xprime"]))
     # NO-first adversary versus the solver's optimal questioners
-    no_counts = []
     for cost in ("L", "x"):
         tr = simulate(n, fam, solver_questioner(n, fam, cost), adversary_no_first)
-        no_counts.append(tr.no_count)
-    no_bound_ok = all(c >= total - exa1 for c in no_counts)
-    return {
-        "n": n,
-        "family": spec,
-        "L": l_res.value,
-        "x": x_res.value,
-        "xprime": xp_res.value,
-        "exa1": exa1,
-        "exa_prime1": exap,
-        "chain_ok": chain_ok,
-        "prime_bound_ok": prime_ok,
-        "uniform_identity_ok": uniform_ok,
-        "sim_no_counts": no_counts,
-        "no_bound_ok": no_bound_ok,
-    }
+        no_params = {**params, "cost": cost}
+        rows.append(_row("no_first_nos", no_params, tr.no_count, floor, ">="))
+    return rows
 
 
-def suite_games(jobs: int = 1) -> dict:
-    instances = [
-        (4, "star"),
-        (5, "star"),
-        (4, "trees"),
-        (4, "kminus"),
-        (4, "clique:3"),
-        (4, "trees+clique:3"),
-    ]
-    rows = [_game_instance(n, spec) for n, spec in instances]
-    by_key = {(r["n"], r["family"]): r for r in rows}
-
-    expected = {
-        (4, "star"): {"L": 2, "x": 2},
-        (5, "star"): {"L": 3, "x": 2},
-        (4, "trees"): {"L": 5, "x": 3},
-        (4, "kminus"): {"L": 5, "x": 1},
-        (4, "clique:3"): {"L": comb(4, 2) - by_key[(4, "clique:3")]["exa1"]},
-    }
-    value_checks = []
-    for key, wants in expected.items():
-        row = by_key[key]
-        for field, want in wants.items():
-            value_checks.append(
-                {
-                    "n": key[0],
-                    "family": key[1],
-                    "quantity": field,
-                    "got": row[field],
-                    "want": want,
-                    "equal": row[field] == want,
-                }
-            )
-
+def _family_gap(n: int) -> list[dict]:
     # family-vs-member gap, reported exactly (strict from n=5 on)
-    gap_rows = []
-    for n in (4, 5):
-        spec = "trees+clique:" + str(n - 1)
-        fam = GraphFamily(spec)
-        xv = solve_x(n, fam).value
-        exa1 = exa_oracle(n, 1, fam).value
-        gap_rows.append(
-            {
-                "n": n,
-                "family": spec,
-                "x": xv,
-                "pairs_minus_exa1": comb(n, 2) - exa1,
-                "gap": xv - (comb(n, 2) - exa1),
-            }
+    spec = "trees+clique:" + str(n - 1)
+    fam = GraphFamily(spec)
+    xv = solve_x(n, fam).value
+    floor = comb(n, 2) - exa_oracle(n, 1, fam).value
+    return [
+        _note(
+            "family_gap", n=n, family=spec, x=xv, pairs_minus_exa1=floor, gap=xv - floor
         )
+    ]
 
+
+def _extremal_questioner() -> list[dict]:
     # extremal-graph questioner (strategy of record at n = 5, pattern K_3)
     g_ext = build_klikk(5, 3).graph
     strat = questioner_extremal_strategy(5, complete_graph(3), g_ext)
     fam_k3 = GraphFamily("clique:3")
-    tr = simulate(5, fam_k3, strat, adversary_no_first)
+    nonedges = comb(5, 2) - g_ext.edge_count()
+    total = simulate(5, fam_k3, strat, adversary_no_first).total
     worst = strategy_worst_case(5, fam_k3, strat)
-    strategy_report = {
-        "no_first_total": tr.total,
-        "no_first_expected": comb(5, 2) - g_ext.edge_count(),
-        "worst_case": worst,
-        "cap": comb(5, 2),
-        "overhead_vs_nonedges": worst - (comb(5, 2) - g_ext.edge_count()),
-        "exact_ok": tr.total == comb(5, 2) - g_ext.edge_count(),
-        "cap_ok": worst <= comb(5, 2),
-    }
+    params = {"n": 5, "pattern": "K3"}
+    return [
+        _row("no_first_total", params, total, nonedges),
+        _row("worst_case", params, worst, comb(5, 2), "<="),
+        _note("strategy_overhead", **params, overhead_vs_nonedges=worst - nonedges),
+    ]
 
-    ok = (
-        all(c["equal"] for c in value_checks)
-        and all(
-            r["chain_ok"] and r["prime_bound_ok"] and r["uniform_identity_ok"]
-            and r["no_bound_ok"]
-            for r in rows
-        )
-        and strategy_report["exact_ok"]
-        and strategy_report["cap_ok"]
-    )
-    return {
-        "suite": "games",
-        "ok": ok,
-        "instances": rows,
-        "value_checks": value_checks,
-        "family_gap_rows": gap_rows,
-        "strategy": strategy_report,
-    }
+
+def suite_games(jobs: int = 1) -> dict:
+    cases = [(_game_instance, n, spec, wants) for n, spec, wants in _GAME_VALUES]
+    cases += [(_family_gap, 4), (_family_gap, 5), (_extremal_questioner,)]
+    return _suite("games", cases, jobs)
 
 
 # -- suite: zeta ----------------------------------------------------------------
 
 
+def _zeta_clique(r: int) -> list[dict]:
+    return [_row("zeta_clique", {"r": r}, zeta(complete_graph(r)), r - 2)]
+
+
+def _zeta_path(n: int) -> list[dict]:
+    return [_row("zeta_path", {"n": n}, zeta(path_graph(n)), 0)]
+
+
+def _zeta_min_degree(f: Graph) -> list[dict]:
+    params = {"pattern_graph6": encode_graph6(f), "min_degree": f.min_degree()}
+    return [_row("zeta_min_degree", params, zeta(f), f.min_degree() - 1, ">=")]
+
+
 def suite_zeta(jobs: int = 1) -> dict:
-    clique_rows = [
-        {"r": r, "zeta": zeta(complete_graph(r)), "want": r - 2}
-        for r in (3, 4, 5)
-    ]
-    p3 = zeta(path_graph(3))
-    delta_rows = []
-    for f in all_pattern_classes(5):
-        z = zeta(f)
-        delta_rows.append(
-            {
-                "pattern_graph6": encode_graph6(f),
-                "zeta": z,
-                "min_degree": f.min_degree(),
-                "holds": z >= f.min_degree() - 1,
-            }
-        )
-    ok = (
-        all(r["zeta"] == r["want"] for r in clique_rows)
-        and p3 == 0
-        and all(r["holds"] for r in delta_rows)
-    )
-    return {
-        "suite": "zeta",
-        "ok": ok,
-        "clique_rows": clique_rows,
-        "zeta_p3": p3,
-        "min_degree_rows": delta_rows,
-    }
+    cases = [(_zeta_clique, r) for r in (3, 4, 5)] + [(_zeta_path, 3)]
+    cases += [(_zeta_min_degree, f) for f in all_pattern_classes(5)]
+    return _suite("zeta", cases, jobs)
 
 
 SUITES = {
