@@ -15,13 +15,14 @@ candidate host vertices as one bitset, already cut to vertices of large
 enough degree, unused, adjacent to the images of the placed pattern
 neighbours and above the images the conditions name, and the last step adds
 that bitset's popcount.  `count_copies`, `automorphism_count` and
-`are_isomorphic` all use it; `_images` walks the same candidates and yields
-each copy's map instead of counting it.
+`are_isomorphic` all use it; `copy_maps` walks the same candidates and
+yields each copy's map instead of counting it.
 
 The labeled copies of a pattern inside K_n, and the isomorphism classes of
 small patterns, are orbits of edge-slot masks under the relabelings of the
 vertices (`graphs.slot_orbit`); neither uses the walk, so the two routes
-check each other.
+check each other.  `orbit_firsts` is the one walk that picks a class's
+representative: the first of its masks in a given order.
 """
 
 from __future__ import annotations
@@ -108,35 +109,6 @@ def _walk(adj, fits, earlier, above) -> int:
     return extend(0, 0) if fits else 1
 
 
-def _images(adj, fits, earlier, above):
-    """The maps `_walk` counts, one tuple per map: step k's image as one bit.
-
-    The same candidate bitsets as `_walk`, but the last step walks its set
-    bits too and yields each map instead of adding a popcount.
-    """
-    bits = [0] * len(fits)
-    rows = [0] * len(fits)
-    last = len(fits) - 1
-
-    def extend(k: int, used: int):
-        cand = fits[k] & ~used
-        for j in earlier[k]:
-            cand &= rows[j]
-        for j in above[k]:
-            cand &= -(bits[j] << 1)
-        while cand:
-            bit = cand & -cand
-            bits[k] = bit
-            if k == last:
-                yield tuple(bits)
-            else:
-                rows[k] = adj[bit.bit_length() - 1]
-                yield from extend(k + 1, used | bit)
-            cand ^= bit
-
-    return extend(0, 0) if fits else iter([()])
-
-
 def _fits(host: Graph, degree: tuple[int, ...]) -> list[int]:
     """Per step, the host vertices of at least that step's `degree`."""
     host_deg = host.degrees()
@@ -221,6 +193,40 @@ def _copies(host: Graph, f: Graph) -> int:
     return _walk(host.adj, _fits(host, plan.degree), plan.earlier, plan.above)
 
 
+def copy_maps(host: Graph, f: Graph):
+    """Each copy of f (no isolated vertices) in host once, as its map in f's
+    vertex order: the image of vertex v, as one bit, at position v.
+
+    The same candidate bitsets as `_walk` under f's plan, but the last step
+    walks its set bits too and yields each map instead of adding a popcount.
+    """
+    plan = _plan(f)
+    fits = _fits(host, plan.degree)
+    adj, order, earlier = host.adj, plan.order, plan.earlier
+    above = [[order[j] for j in steps] for steps in plan.above]  # as vertices
+    image = [0] * f.n  # image[v] = the image of vertex v, as one bit
+    rows = [0] * f.n  # rows[k] = host row of the image of step k
+    last = f.n - 1
+
+    def extend(k: int, used: int):
+        cand = fits[k] & ~used
+        for j in earlier[k]:
+            cand &= rows[j]
+        for v in above[k]:
+            cand &= -(image[v] << 1)
+        while cand:
+            bit = cand & -cand
+            image[order[k]] = bit
+            if k == last:
+                yield tuple(image)
+            else:
+                rows[k] = adj[bit.bit_length() - 1]
+                yield from extend(k + 1, used | bit)
+            cand ^= bit
+
+    yield from extend(0, 0) if fits else [()]
+
+
 def count_copies(host: Graph, pattern: Graph) -> int:
     """Number of subgraphs of host isomorphic to pattern (isolated vertices ignored)."""
     f = strip_isolated(pattern)
@@ -238,16 +244,8 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 def count_family(host: Graph, fam) -> int:
-    """Total copies over a family; members must be pairwise non-isomorphic.
-
-    `fam` is either a GraphFamily (instantiated at the host's order) or a
-    plain iterable of pattern graphs.
-    """
-    if hasattr(fam, "members"):
-        members = fam.members(host.n)
-    else:
-        members = distinct_patterns(fam)
-    return sum(count_copies(host, m) for m in members)
+    """Total copies over a GraphFamily's members at the host's order."""
+    return sum(count_copies(host, m) for m in fam.members(host.n))
 
 
 def distinct_patterns(graphs) -> tuple[Graph, ...]:
@@ -275,20 +273,35 @@ def labeled_copies(n: int, pattern: Graph) -> tuple[int, ...]:
     return tuple(sorted(slot_orbit(n, f.edge_mask())))
 
 
+def orbit_firsts(n: int, masks) -> list[Graph]:
+    """The graph on n vertices of each mask outside the orbits of the masks
+    before it: one per class the masks meet, the first of it in their order.
+
+    Each class is covered by `labeled_copies`, so the orbits are built once
+    and cached for the placements of the classes found.
+    """
+    firsts: list[Graph] = []
+    covered: set[int] = set()
+    for mask in masks:
+        if mask not in covered:
+            firsts.append(graph_from_mask(n, mask))
+            covered.update(labeled_copies(n, firsts[-1]))
+    return firsts
+
+
 @lru_cache(maxsize=None)
 def all_pattern_classes(max_order: int) -> tuple[Graph, ...]:
     """Non-isomorphic graphs with >= 1 edge and no isolated vertices, order <= max_order.
 
     Each class is represented by the first edge mask on max_order vertices,
-    in ascending order, that yields it: the masks are walked in ascending
-    order, and each one outside the orbits found so far starts a new class
-    and adds its orbit.
+    in ascending order, that yields it (`orbit_firsts`), stripped; the
+    classes are sorted by order, edge count and edge mask.
     """
-    found = []
-    covered: set[int] = set()
-    for mask in range(1, 1 << pair_count(max_order)):
-        if mask not in covered:
-            found.append(strip_isolated(graph_from_mask(max_order, mask)))
-            covered |= slot_orbit(max_order, mask)
+    if max_order < 0:
+        raise ValueError(f"pattern order must be non-negative, got {max_order}")
+    found = [
+        strip_isolated(g)
+        for g in orbit_firsts(max_order, range(1, 1 << pair_count(max_order)))
+    ]
     found.sort(key=lambda g: (g.n, g.edge_count(), g.edge_mask()))
     return tuple(found)

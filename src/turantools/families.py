@@ -2,16 +2,16 @@
 
 A family yields its members (pairwise non-isomorphic patterns, isolated
 vertices stripped) for a given ambient order, plus the full list of labeled
-placements inside K_n used by the oracles and the query game.
+placements inside K_n used by the oracles and the query game.  The trees are
+grown a leaf at a time from the classes one order down, and each class is
+represented by the first of its grown masks (`counting.orbit_firsts`).
 """
 
 from __future__ import annotations
 
-import heapq
 from functools import lru_cache
-from itertools import product
 
-from turantools.counting import distinct_patterns, labeled_copies
+from turantools.counting import distinct_patterns, labeled_copies, orbit_firsts
 from turantools.graphs import (
     Graph,
     complete_bipartite,
@@ -20,61 +20,32 @@ from turantools.graphs import (
     cycle_graph,
     decode_graph6,
     make_graph,
-    mask_from_edges,
     matching_graph,
+    pair_count,
     star_graph,
 )
 
 TREES_ORDER_CAP = 7
 
 
-def _labeled_trees(n: int):
-    """Edge lists of all labeled trees on n vertices, in Prufer-sequence order."""
-    if n == 1:
-        yield []
-        return
-    if n == 2:
-        yield [(0, 1)]
-        return
-    for seq in product(range(n), repeat=n - 2):
-        degree = [1] * n
-        for v in seq:
-            degree[v] += 1
-        edges = []
-        leaves = [v for v in range(n) if degree[v] == 1]
-        heapq.heapify(leaves)
-        for v in seq:
-            leaf = heapq.heappop(leaves)
-            edges.append((leaf, v))
-            degree[v] -= 1
-            if degree[v] == 1:
-                heapq.heappush(leaves, v)
-        u = heapq.heappop(leaves)
-        v = heapq.heappop(leaves)
-        edges.append((u, v))
-        yield edges
-
-
 @lru_cache(maxsize=None)
 def tree_classes(n: int) -> tuple[Graph, ...]:
-    """Non-isomorphic trees on n vertices: the first labeled tree of each class.
+    """Non-isomorphic trees on n vertices, one per class.
 
-    The labeled trees are walked in Prufer order; one whose mask no class
-    found so far covers starts a new class, whose labeled copies (its orbit
-    under relabeling) it adds to the covered masks.  The walk stops once all
-    n^(n-2) labeled trees (Cayley) are covered.
+    Every tree on n >= 2 vertices is a tree on n - 1 vertices plus a leaf, so
+    joining vertex n - 1 to each vertex of each class on n - 1 vertices meets
+    every class.  The grown masks are sorted, and each outside the orbits
+    found so far starts a class (`orbit_firsts`).
     """
+    if n < 1:
+        raise ValueError(f"a tree needs at least one vertex, got n={n}")
     if n > TREES_ORDER_CAP:
         raise ValueError(f"tree enumeration capped at {TREES_ORDER_CAP} vertices")
-    reps: list[Graph] = []
-    covered: set[int] = set()
-    for edges in _labeled_trees(n):
-        if mask_from_edges(n, edges) not in covered:
-            reps.append(make_graph(n, edges))
-            covered.update(labeled_copies(n, reps[-1]))
-            if len(covered) == n ** (n - 2):
-                break
-    return tuple(reps)
+    if n == 1:
+        return (make_graph(1, []),)
+    leaf = 1 << pair_count(n - 1)  # slot (0, n-1); slot (v, n-1) is leaf << v
+    grown = {t.edge_mask() | leaf << v for t in tree_classes(n - 1) for v in range(n - 1)}
+    return tuple(orbit_firsts(n, sorted(grown)))
 
 
 class GraphFamily:

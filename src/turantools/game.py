@@ -273,9 +273,22 @@ class _Solver:
                 return True
             if t < lo:
                 return False
+        passed = self._passing_move(S, t, A) is not None
+        self.bounds[S] = (lo, t) if passed else (t + 1, hi)
+        if entry is None and len(self.bounds) % POLL_EVERY == 0:
+            self._poll()
+        return passed
+
+    def _passing_move(self, S: int, t: int, A: int) -> int | None:
+        """The first move after asking A whose children pass at t, as its
+        slot; None if none does.
+
+        The moves are the orbits' smallest slots, ascending, and every slot
+        of an orbit passes with its representative: the first that passes is
+        the smallest passing slot.
+        """
         t_yes = t - self.cost_yes
         moves, A = self._moves(A)
-        passed = False
         for b, c in moves:
             s_yes = S & c
             if (
@@ -284,12 +297,8 @@ class _Solver:
                 and self._at_most(S ^ s_yes, t - 1, A | b)
                 and self._at_most(s_yes, t_yes, A | b)
             ):
-                passed = True
-                break
-        self.bounds[S] = (lo, t) if passed else (t + 1, hi)
-        if entry is None and len(self.bounds) % POLL_EVERY == 0:
-            self._poll()
-        return passed
+                return b.bit_length() - 1
+        return None
 
     def value(self, S: int, A: int) -> int:
         """L or x of S, or g(S) = x' + |YES| for the checked variant."""
@@ -322,22 +331,10 @@ class _Solver:
                 if remaining:
                     return (remaining & -remaining).bit_length() - 1
             return None
-        v = self.value(S, yes | no)
-        t_yes = v - self.cost_yes
-        moves, A = self._moves(yes | no)
-        # the moves are the orbits' smallest slots, ascending, and every slot
-        # of an orbit is optimal with its representative: the first that
-        # passes is the smallest optimal slot
-        for b, c in moves:
-            s_yes = S & c
-            if (
-                s_yes
-                and s_yes != S
-                and self._at_most(S ^ s_yes, v - 1, A | b)
-                and self._at_most(s_yes, t_yes, A | b)
-            ):
-                return b.bit_length() - 1
-        raise AssertionError("a state of value v has a move passing at v")
+        slot = self._passing_move(S, self.value(S, yes | no), yes | no)
+        if slot is None:
+            raise AssertionError("a state of value v has a move passing at v")
+        return slot
 
 
 def solve_L(n: int, fam: GraphFamily, **kw) -> GameValue:

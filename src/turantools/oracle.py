@@ -30,14 +30,7 @@ import time
 from dataclasses import dataclass
 
 from turantools._bnb import branch_and_bound
-from turantools.counting import (
-    _fits,
-    _images,
-    _plan,
-    count_copies,
-    labeled_copies,
-    strip_isolated,
-)
+from turantools.counting import copy_maps, count_copies, labeled_copies, strip_isolated
 from turantools.families import GraphFamily
 from turantools.graphs import (
     Graph,
@@ -254,8 +247,8 @@ def zeta(f: Graph) -> int:
     w joined to all of V(f), the copies of f in h_A other than f are the
     copies in T through w whose w-neighbourhood (the images of the pattern
     neighbours of the vertex sent to w) lies inside A.  One conditioned walk
-    of f into T finds these blocked sets, and z is the largest |A| that
-    contains none of them.
+    of f into T (`copy_maps`) finds these blocked sets, and z is the largest
+    |A| that contains none of them.
     """
     f = strip_isolated(f)
     if f.edge_count() == 0:
@@ -265,14 +258,11 @@ def zeta(f: Graph) -> int:
     n = f.n
     w = 1 << n
     joined = Graph(n + 1, tuple(row | w for row in f.adj) + (w - 1,))
-    plan = _plan(f)
-    neighbours = [  # per step, the steps of its pattern neighbours
-        [j for j, q in enumerate(plan.order) if f.has_edge(p, q)] for p in plan.order
-    ]
+    neighbours = [f.neighbors(p) for p in range(n)]
     blocked = set()
-    for bits in _images(joined.adj, _fits(joined, plan.degree), plan.earlier, plan.above):
-        if w in bits:
-            blocked.add(sum(bits[j] for j in neighbours[bits.index(w)]))
+    for image in copy_maps(joined, f):
+        if w in image:
+            blocked.add(sum(image[q] for q in neighbours[image.index(w)]))
     return max(
         a.bit_count() for a in range(w) if all(b & ~a for b in blocked)
     )

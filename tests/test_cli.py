@@ -119,6 +119,12 @@ def test_usage_errors_exit_1():
     assert run_cli(["count", "--host", K4_G6]).returncode == 1
     assert run_cli(["count", "--host", "not-a-graph6!!", "--pattern", K3_G6]).returncode == 1
     assert run_cli(["nonsense"]).returncode == 1
+    for line in (
+        "game sweep --n 4 --max-pattern-order -1",
+        "oracle exa --n 0 --k 1 --family trees",
+    ):
+        proc = run_cli(line.split())
+        assert proc.returncode == 1 and proc.stderr.startswith("error:"), line
 
 
 def test_flags_a_command_does_not_honour_exit_1(capsys):

@@ -1,13 +1,13 @@
 import pytest
 
 from turantools.counting import are_isomorphic, labeled_copies
-from turantools.families import GraphFamily, _labeled_trees, parse_family, tree_classes
+from turantools.families import GraphFamily, parse_family, tree_classes
 from turantools.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
     encode_graph6,
-    make_graph,
+    graph_from_mask,
     matching_graph,
     star_graph,
 )
@@ -27,15 +27,18 @@ def test_tree_classes_pairwise_noniso():
             assert not are_isomorphic(a, b)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
-def test_tree_classes_are_first_labeled_tree_of_each_class(n):
-    # reference: Prufer order, isomorphism tests against the classes so far
-    reps = []
-    for edges in _labeled_trees(n):
-        t = make_graph(n, edges)
-        if not any(are_isomorphic(t, r) for r in reps):
-            reps.append(t)
-    assert tree_classes(n) == tuple(reps)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_tree_classes_cover_the_labeled_trees_once(n):
+    classes = tree_classes(n)
+    masks = [t.edge_mask() for t in classes]
+    assert masks == sorted(masks)
+    orbits = [set(labeled_copies(n, t)) for t in classes]
+    covered = set().union(*orbits)
+    # pairwise disjoint orbits whose union is all n^(n-2) labeled trees (Cayley)
+    assert sum(map(len, orbits)) == len(covered) == n ** (n - 2)
+    for mask in covered:
+        g = graph_from_mask(n, mask)
+        assert g.edge_count() == n - 1 and g.is_connected()
 
 
 def test_star_family():
