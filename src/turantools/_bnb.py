@@ -161,7 +161,7 @@ def branch_and_bound(
     def walk(s: int, edges: int, alive: int, done: int, mask: int, tied: int) -> None:
         nonlocal nodes, best, found
         nodes += 1
-        if nodes % POLL_EVERY == 0 and deadline is not None and clock() > deadline:
+        if nodes % POLL_EVERY == 0 and expired():
             raise _Timeout
         if s == m_slots:
             if feasible_leaf(done, mask):

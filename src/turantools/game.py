@@ -32,6 +32,7 @@ from turantools.families import GraphFamily
 from turantools.graphs import (
     Edge,
     Graph,
+    check_order,
     complement,
     encode_graph6,
     graph_from_mask,
@@ -206,6 +207,7 @@ class _Solver:
         budget: float | None = None,
         clock=time.monotonic,
     ):
+        check_order(n)
         if n > SOLVER_ORDER_CAP:
             raise ValueError(f"game solver capped at n <= {SOLVER_ORDER_CAP}")
         if cost not in ("L", "x", "xprime"):
@@ -251,7 +253,7 @@ class _Solver:
         return entry
 
     def _poll(self) -> None:
-        if self.deadline is not None and self.clock() > self.deadline:
+        if self.deadline is not None and self.clock() >= self.deadline:
             raise UnsolvedError("game budget ran out")
 
     def _at_most(self, S: int, t: int, A: int) -> bool:
@@ -485,16 +487,18 @@ def sweep_patterns(n: int, max_pattern_order: int = 4) -> dict:
     reports x(n,F) against C(n,2) - exa_1(n,F) and x'(n,F) against
     C(n,2) - exa'_1(n,F); findings only, nothing asserted.
     """
+    check_order(n)
     total_pairs = pair_count(n)
     rows = []
     for f in all_pattern_classes(max_pattern_order):
         if f.n > n:
             continue
         fam = GraphFamily.explicit((f,), label=f"pattern:{encode_graph6(f)}")
-        exa1 = exa_oracle(n, 1, fam)
-        exap = exa_prime_oracle(n, fam)
+        # the games first: the solver's order cap is below the oracles' guard
         xv = solve_x(n, fam)
         xpv = solve_x_prime(n, fam)
+        exa1 = exa_oracle(n, 1, fam)
+        exap = exa_prime_oracle(n, fam)
         gap_x = (
             xv.value - (total_pairs - exa1.value)
             if exa1.value is not None and xv.value is not None

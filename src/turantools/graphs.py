@@ -158,7 +158,8 @@ class Graph:
         return seen == (1 << self.n) - 1
 
 
-def _validate_order(n: int) -> None:
+def check_order(n: int) -> None:
+    """Reject an order outside 0..MAX_VERTICES, the word cap of every engine."""
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
 
@@ -168,7 +169,7 @@ def make_graph(n: int, edges: Iterable[Edge]) -> Graph:
 
     Rejects loops, out-of-range endpoints and orders above the word cap.
     """
-    _validate_order(n)
+    check_order(n)
     adj = [0] * n
     for u, v in edges:
         if u == v:
@@ -205,12 +206,12 @@ def mask_from_edges(n: int, edges: Iterable[Edge]) -> int:
 
 
 def empty_graph(n: int) -> Graph:
-    _validate_order(n)
+    check_order(n)
     return Graph(n, (0,) * n)
 
 
 def complete_graph(n: int) -> Graph:
-    _validate_order(n)
+    check_order(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
@@ -224,14 +225,14 @@ def complement(g: Graph) -> Graph:
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Blockwise relabeled union; h's vertices are shifted past g's."""
     n = g.n + h.n
-    _validate_order(n)
+    check_order(n)
     adj = list(g.adj) + [a << g.n for a in h.adj]
     return Graph(n, tuple(adj))
 
 
 def turan_graph(n: int, r: int) -> Graph:
     """Balanced complete r-partite graph on n vertices; part sizes differ by <= 1."""
-    _validate_order(n)
+    check_order(n)
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     base, extra = divmod(n, r)
@@ -293,7 +294,7 @@ def path_forest(sizes: Sequence[int]) -> Graph:
     if any(s < 1 for s in sizes):
         raise ValueError("path sizes must be positive")
     n = sum(sizes)
-    _validate_order(n)
+    check_order(n)
     edges = []
     start = 0
     for s in sizes:

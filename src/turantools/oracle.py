@@ -14,9 +14,10 @@ maximum by cutting only branches that cannot beat the best leaf so far or
 that are lexicographically larger than their image under an adjacent vertex
 transposition (every constraint here is invariant under relabeling).  Its
 first optimal leaf, the witness, is the graph6-lexicographically smallest
-optimal graph.  `_reverified` re-counts a returned witness against
-the same constraint list through the independent embeddings-based copy
-counter before the result is handed back.
+optimal graph.  Before `_search` hands a witness back it re-counts the
+witness against the same constraint list through the independent
+embeddings-based copy counter; a member that counter cannot take (more than
+`AUT_ORDER_CAP` vertices) is refused before the search starts.
 
 `zeta`, the slope of the sandwich bound, is not a search over graphs: one
 conditioned walk of f into f plus a vertex joined to all of it finds every
@@ -30,11 +31,18 @@ import time
 from dataclasses import dataclass
 
 from turantools._bnb import branch_and_bound
-from turantools.counting import copy_maps, count_copies, labeled_copies, strip_isolated
+from turantools.counting import (
+    AUT_ORDER_CAP,
+    copy_maps,
+    count_copies,
+    labeled_copies,
+    strip_isolated,
+)
 from turantools.families import GraphFamily
 from turantools.graphs import (
     Graph,
     check_bipartite,
+    check_order,
     complete_graph,
     encode_graph6,
     graph_from_mask,
@@ -71,8 +79,7 @@ class OracleResult:
 
 
 def _check_order(n: int, allow_large: bool) -> None:
-    if n < 0:
-        raise ValueError("order must be non-negative")
+    check_order(n)
     if n > UNRESTRICTED_ORDER_CAP and not allow_large:
         raise ValueError(
             f"unrestricted search is guarded at n <= {UNRESTRICTED_ORDER_CAP}; "
@@ -97,9 +104,16 @@ def _search(
     With require_nonbip the graph must also be non-bipartite.
 
     The witness is the graph6-lexicographically smallest optimal graph and
-    `explored` counts search nodes.
+    `explored` counts search nodes.  Every member's copies in the witness are
+    counted again with `count_copies` (and non-bipartiteness with
+    `check_bipartite`); a disagreement raises AssertionError.  A member that
+    `count_copies` would refuse is refused before any placement is built.
     """
     _check_order(n, allow_large)
+    # the members are stripped, so their order is the one count_copies caps
+    largest = max((f.n for members, _ in constraints for f in members), default=0)
+    if largest > AUT_ORDER_CAP:
+        raise ValueError(f"witness re-count capped at members of {AUT_ORDER_CAP} vertices")
     t0 = time.monotonic()
 
     def nonbipartite(mask: int) -> bool:
@@ -138,29 +152,15 @@ def _search(
         return OracleResult(None, None, res.nodes, elapsed, not res.timed_out)
     witness = graph_from_mask(n, res.mask)
     assert witness.edge_count() == res.value
-    return OracleResult(res.value, witness, res.nodes, elapsed, True)
-
-
-def _reverified(
-    res: OracleResult, constraints, *, require_nonbip: bool = False
-) -> OracleResult:
-    """Re-check a witness of `_search` through the embeddings-based counter.
-
-    Each constraint's member copies are counted again with `count_copies`,
-    and non-bipartiteness with `check_bipartite` when asked.
-    """
-    w = res.witness
-    if w is None:
-        return res
     for members, allowed in constraints:
-        total = sum(count_copies(w, f) for f in members)
+        total = sum(count_copies(witness, f) for f in members)
         if total not in allowed:
             raise AssertionError(
                 f"witness re-verification failed: count {total} not in {sorted(allowed)}"
             )
-    if require_nonbip and check_bipartite(w):
+    if require_nonbip and check_bipartite(witness):
         raise AssertionError("witness re-verification failed: bipartite")
-    return res
+    return OracleResult(res.value, witness, res.nodes, elapsed, True)
 
 
 def ex_oracle(n: int, fam: GraphFamily, **kw) -> OracleResult:
@@ -183,8 +183,7 @@ def exa_set_oracle(
 ) -> OracleResult:
     """Most edges with total family copy count in the given finite set."""
     constraints = [(fam.members(n), set(counts))]
-    res = _search(n, constraints, deadline=_deadline(budget), allow_large=allow_large)
-    return _reverified(res, constraints)
+    return _search(n, constraints, deadline=_deadline(budget), allow_large=allow_large)
 
 
 def exa_prime_oracle(
@@ -205,7 +204,7 @@ def exa_prime_oracle(
     t0 = time.monotonic()
     deadline = _deadline(budget)
     explored = 0
-    best = None  # ((-objective, witness graph6), search result, F, constraints)
+    best = None  # ((-objective, witness graph6), search result, F)
     for f in members:
         constraints = [((g,), {1} if g == f else {0}) for g in members]
         res = _search(n, constraints, deadline=deadline, allow_large=allow_large)
@@ -216,25 +215,22 @@ def exa_prime_oracle(
             continue
         key = (f.edge_count() - res.value, encode_graph6(res.witness))
         if best is None or key < best[0]:
-            best = (key, res, f, constraints)
+            best = (key, res, f)
     elapsed = time.monotonic() - t0
     if best is None:
         return OracleResult(None, None, explored, elapsed, True)
-    (neg_objective, _), res, f, constraints = best
-    witness = _reverified(res, constraints).witness
-    return OracleResult(-neg_objective, witness, explored, elapsed, True, member=f)
+    (neg_objective, _), res, f = best
+    return OracleResult(-neg_objective, res.witness, explored, elapsed, True, member=f)
 
 
 def triangle_free_nonbipartite_oracle(
     n: int, *, budget: float | None = None, allow_large: bool = False
 ) -> OracleResult:
     """Max edges over triangle-free graphs on n vertices that are not bipartite."""
-    constraints = [((complete_graph(3),), {0})]
-    res = _search(
-        n, constraints, require_nonbip=True,
+    return _search(
+        n, [((complete_graph(3),), {0})], require_nonbip=True,
         deadline=_deadline(budget), allow_large=allow_large,
     )
-    return _reverified(res, constraints, require_nonbip=True)
 
 
 def zeta(f: Graph) -> int:

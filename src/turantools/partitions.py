@@ -149,6 +149,7 @@ def _most_parts_memo(n: int, max_part: int, forbidden: int) -> int:
     return best
 
 
+@lru_cache(maxsize=None)
 def mup(a_sum: int, b_sum: int) -> MupResult:
     """Exact maximum total part count over unique partitions of (A, B).
 
@@ -189,15 +190,10 @@ def mup(a_sum: int, b_sum: int) -> MupResult:
     return MupResult(value, PartitionPair(pa, pb))
 
 
-@lru_cache(maxsize=None)
-def _mup_cached(a_sum: int, b_sum: int) -> MupResult:
-    return mup(a_sum, b_sum)
-
-
 def exa1_kab(a_sum: int, b_sum: int) -> int:
     """Max edges of an (A+B)-vertex graph with one spanning K_{A,B}: via mup."""
     n = a_sum + b_sum
-    return n * (n - 1) // 2 - n + _mup_cached(a_sum, b_sum).value
+    return n * (n - 1) // 2 - n + mup(a_sum, b_sum).value
 
 
 def mup_series_check(c: int, n_max: int) -> dict:
@@ -219,7 +215,7 @@ def mup_series_check(c: int, n_max: int) -> dict:
     rows = []
     values: dict[int, int] = {}
     for n in range(c + 1, n_max + 1):
-        res = _mup_cached(n, c)
+        res = mup(n, c)
         values[n] = res.value
         parts = res.witness.parts_a + res.witness.parts_b
         divisor_ok = all(

@@ -18,7 +18,7 @@ count.
 from __future__ import annotations
 
 import operator
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from math import comb
 
 from turantools.constructions import (
@@ -89,7 +89,7 @@ def _pmap(fn, items, jobs: int):
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     # the pool may start every worker up front, so never more than there are items
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+    with futures.ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
 

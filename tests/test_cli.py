@@ -119,12 +119,22 @@ def test_usage_errors_exit_1():
     assert run_cli(["count", "--host", K4_G6]).returncode == 1
     assert run_cli(["count", "--host", "not-a-graph6!!", "--pattern", K3_G6]).returncode == 1
     assert run_cli(["nonsense"]).returncode == 1
-    for line in (
-        "game sweep --n 4 --max-pattern-order -1",
-        "oracle exa --n 0 --k 1 --family trees",
+    # every engine rejects an order through graphs.check_order, and a sweep
+    # meets the game solver's cap before the oracles' guard
+    for line, message in (
+        ("game sweep --n 4 --max-pattern-order -1", "pattern order must be non-negative"),
+        ("oracle exa --n 0 --k 1 --family trees", "a tree needs at least one vertex"),
+        ("game L --n -2 --family clique:2", "vertex count must be in 0..32, got -2"),
+        ("game sweep --n -1", "vertex count must be in 0..32, got -1"),
+        ("game sweep --n 10", "game solver capped at n <= 7"),
+        (
+            "oracle ex --n 33 --family clique:3 --allow-large --budget 0",
+            "vertex count must be in 0..32, got 33",
+        ),
     ):
         proc = run_cli(line.split())
         assert proc.returncode == 1 and proc.stderr.startswith("error:"), line
+        assert message in proc.stderr, line
 
 
 def test_flags_a_command_does_not_honour_exit_1(capsys):
@@ -212,7 +222,7 @@ def test_jobs_start_at_most_one_worker_per_item(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(verify.futures, "ProcessPoolExecutor", FakePool)
     assert verify._pmap(abs, [-1, -2, -3], 100_000) == [1, 2, 3]
     assert verify._pmap(abs, [-1, -2, -3], 2) == [1, 2, 3]
     assert started == [3, 2]

@@ -183,6 +183,12 @@ def test_solver_polls_its_deadline_every_poll_interval():
     assert len(polls) == 4 and res.states_explored == 2 * POLL_EVERY
 
 
+def test_a_deadline_has_passed_when_the_clock_reaches_it():
+    # budget 0 on a frozen clock: the poll before the search sees clock == deadline
+    res = solve_L(5, TREES, budget=0, clock=lambda: 1.0)
+    assert not res.complete and res.value is None and res.states_explored == 0
+
+
 def test_state_ceiling_reports_unsolved():
     res = solve_L(5, TREES, state_cap=10)
     assert not res.complete and res.value is None

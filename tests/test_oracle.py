@@ -223,6 +223,17 @@ def test_every_oracle_recounts_its_witness(monkeypatch, run):
         run()
 
 
+@pytest.mark.parametrize("spec", ["star", "kminus"])
+def test_a_member_the_recount_cannot_take_is_refused_before_the_search(monkeypatch, spec):
+    def no_search(*args, **kw):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr(oracle, "labeled_copies", no_search)
+    monkeypatch.setattr(oracle, "branch_and_bound", no_search)
+    with pytest.raises(ValueError, match="capped at members of 10 vertices"):
+        exa_oracle(11, 1, GraphFamily(spec), allow_large=True)
+
+
 def test_bad_count_sets_are_rejected():
     fam = GraphFamily("clique:3")
     with pytest.raises(ValueError, match="non-negative"):
