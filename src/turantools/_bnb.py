@@ -45,7 +45,7 @@ So the best count is the same at every point of both walks.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from turantools.graphs import pair_count, slot_index, slot_pairs
 
@@ -53,8 +53,7 @@ from turantools.graphs import pair_count, slot_index, slot_pairs
 POLL_EVERY = 1 << 16
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     value: int | None
     mask: int | None
     nodes: int

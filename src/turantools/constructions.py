@@ -7,7 +7,7 @@ with the generic counter, never assumed from the construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from turantools.counting import count_copies
 from turantools.graphs import (
@@ -24,8 +24,7 @@ from turantools.graphs import (
 from turantools.partitions import PartitionPair, is_unique_partition
 
 
-@dataclass
-class ConstructionReport:
+class ConstructionReport(NamedTuple):
     graph: Graph
     expected_edges: int
     actual_edges: int

@@ -24,7 +24,7 @@ the state cap is reached.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from turantools.counting import all_pattern_classes, count_copies
 from turantools.errors import AdversaryError, UnsolvedError
@@ -49,8 +49,7 @@ DEFAULT_STATE_CAP = 5_000_000
 POLL_EVERY = 4096
 
 
-@dataclass(frozen=True)
-class GameState:
+class GameState(NamedTuple):
     """Answered-YES and answered-NO pair sets; everything else is unasked."""
 
     n: int
@@ -88,8 +87,7 @@ class GameState:
         return GameState(self.n, self.fam, self.yes, self.no + (q,))
 
 
-@dataclass
-class GameValue:
+class GameValue(NamedTuple):
     """A solved game value and the optimal first queries.
 
     `first_moves` lists the informative optimal pairs: pairs some but not
@@ -366,20 +364,23 @@ def solver_questioner(n: int, fam: GraphFamily, cost: str = "L", **kw):
     return questioner
 
 
-@dataclass
-class Transcript:
+class Transcript(NamedTuple):
     """Full record of one played game."""
 
     queries: tuple[tuple[Edge, bool], ...]
     final_placement: tuple[Edge, ...]
-    total: int = field(init=False)
-    yes_count: int = field(init=False)
-    no_count: int = field(init=False)
 
-    def __post_init__(self):
-        self.total = len(self.queries)
-        self.yes_count = sum(1 for _, a in self.queries if a)
-        self.no_count = self.total - self.yes_count
+    @property
+    def total(self) -> int:
+        return len(self.queries)
+
+    @property
+    def yes_count(self) -> int:
+        return sum(1 for _, a in self.queries if a)
+
+    @property
+    def no_count(self) -> int:
+        return self.total - self.yes_count
 
 
 def simulate(n: int, fam: GraphFamily, questioner, adversary) -> Transcript:

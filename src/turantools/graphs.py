@@ -11,9 +11,8 @@ oracles and the game solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 MAX_VERTICES = 32
 
@@ -367,8 +366,7 @@ def decode_graph6(text: str) -> Graph:
 # -- bipartiteness -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BipartiteResult:
+class BipartiteResult(NamedTuple):
     """Either a 2-coloring (parts) or an odd-cycle witness, never both."""
 
     parts: tuple[tuple[int, ...], tuple[int, ...]] | None

@@ -28,7 +28,7 @@ of their neighbourhoods at that vertex is the answer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from turantools._bnb import branch_and_bound
 from turantools.counting import (
@@ -53,8 +53,7 @@ UNRESTRICTED_ORDER_CAP = 9
 ZETA_ORDER_CAP = 8
 
 
-@dataclass
-class OracleResult:
+class OracleResult(NamedTuple):
     """Outcome of an exhaustive max-edge search.
 
     value is None when no qualifying graph exists (and complete is True) or

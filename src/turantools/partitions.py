@@ -16,8 +16,8 @@ sums, so `mup` cuts every partition that extends a failing one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from turantools.errors import UnsolvedError
 
@@ -25,20 +25,25 @@ MUP_BUDGET = 60  # largest A+B the exhaustive search accepts
 SERIES_C_CAP = 6
 
 
-@dataclass(frozen=True)
-class PartitionPair:
-    """Two multisets of positive integers, canonically non-increasing."""
-
+class _Parts(NamedTuple):
     parts_a: tuple[int, ...]
     parts_b: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts_a", tuple(sorted(self.parts_a, reverse=True)))
-        object.__setattr__(self, "parts_b", tuple(sorted(self.parts_b, reverse=True)))
-        if not self.parts_a or not self.parts_b:
+
+class PartitionPair(_Parts):
+    """Two multisets of positive integers, canonically non-increasing."""
+
+    __slots__ = ()
+
+    # a NamedTuple class may not define __new__, so the check lives on a subclass
+    def __new__(cls, parts_a, parts_b):
+        parts_a = tuple(sorted(parts_a, reverse=True))
+        parts_b = tuple(sorted(parts_b, reverse=True))
+        if not parts_a or not parts_b:
             raise ValueError("both sides need at least one part")
-        if min(self.parts_a + self.parts_b) < 1:
+        if min(parts_a + parts_b) < 1:
             raise ValueError("parts must be positive")
+        return super().__new__(cls, parts_a, parts_b)
 
     def sum_a(self) -> int:
         return sum(self.parts_a)
@@ -55,8 +60,7 @@ class PartitionPair:
         )
 
 
-@dataclass(frozen=True)
-class MupResult:
+class MupResult(NamedTuple):
     value: int
     witness: PartitionPair | None
 

@@ -18,7 +18,6 @@ count.
 from __future__ import annotations
 
 import operator
-from concurrent import futures
 from math import comb
 
 from turantools.constructions import (
@@ -88,6 +87,9 @@ def _pmap(fn, items, jobs: int):
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    # loaded only here: concurrent.futures costs every other command its import time
+    from concurrent import futures
+
     # the pool may start every worker up front, so never more than there are items
     with futures.ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))

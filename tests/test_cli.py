@@ -222,7 +222,7 @@ def test_jobs_start_at_most_one_worker_per_item(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(verify.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     assert verify._pmap(abs, [-1, -2, -3], 100_000) == [1, 2, 3]
     assert verify._pmap(abs, [-1, -2, -3], 2) == [1, 2, 3]
     assert started == [3, 2]

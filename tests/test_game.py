@@ -207,6 +207,7 @@ def test_simulate_solver_vs_no_first():
     yes_pairs = {q for q, a in tr.queries if a}
     asked = {q for q, _ in tr.queries}
     assert yes_pairs == set(tr.final_placement) & asked
+    assert (tr.yes_count, tr.no_count) == (len(yes_pairs), tr.total - len(yes_pairs))
 
 
 def test_simulate_no_count_bound():
@@ -255,7 +256,7 @@ def test_extremal_strategy_exact_query_count():
     strat = questioner_extremal_strategy(5, complete_graph(3), g)
     tr = simulate(5, K3, strat, adversary_no_first)
     assert tr.total == comb(5, 2) - g.edge_count() == 4
-    assert tr.no_count == 4
+    assert (tr.yes_count, tr.no_count) == (0, 4)
 
 
 def test_extremal_strategy_worst_case_capped():

@@ -186,7 +186,7 @@ def test_bipartite_c4():
 
 def test_bipartite_c5_witness():
     res = check_bipartite(cycle_graph(5))
-    assert not res
+    assert not res and res.parts is None
     cyc = res.odd_cycle
     assert len(cyc) % 2 == 1 and len(cyc) >= 3
     g = cycle_graph(5)

@@ -1,3 +1,4 @@
+import pickle
 from itertools import combinations
 
 import pytest
@@ -29,11 +30,19 @@ def test_smallest_nondivisor():
 
 def test_partition_pair_canonical_and_validated():
     pp = PartitionPair((1, 3, 2), (2,))
-    assert pp.parts_a == (3, 2, 1)
-    with pytest.raises(ValueError):
-        PartitionPair((), (1,))
-    with pytest.raises(ValueError):
-        PartitionPair((0, 1), (1,))
+    assert pp.parts_a == (3, 2, 1) and pp.parts_b == (2,)
+    assert PartitionPair([2], (1, 4)) == PartitionPair((2,), (4, 1))
+    # verify's worker pool pickles its cases
+    back = pickle.loads(pickle.dumps(pp))
+    assert back == pp and type(back) is PartitionPair and str(back) == "3,2,1/2"
+    for parts_a, parts_b, message in (
+        ((), (1,), "at least one part"),
+        ((1,), (), "at least one part"),
+        ((0, 1), (1,), "must be positive"),
+        ((2,), (1, -3), "must be positive"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            PartitionPair(parts_a, parts_b)
 
 
 def test_worked_uniqueness_examples():
