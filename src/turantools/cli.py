@@ -61,6 +61,14 @@ def _emit(doc: dict, as_json: bool, text_lines: list[str]) -> None:
             print(line)
 
 
+def _budget(text: str) -> float:
+    # one comparison refuses both negatives and NaN; inf means no limit
+    budget = float(text)
+    if not budget >= 0:
+        raise argparse.ArgumentTypeError(f"budget must be >= 0 seconds, got {text}")
+    return budget
+
+
 def _parse_parts(text: str) -> PartitionPair:
     left, _, right = text.partition("/")
     if not right:
@@ -203,14 +211,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.jobs < 1:
-        raise _UsageError("--jobs must be at least 1")
     if args.suite == "all" and args.n_max is not None:
         raise _UsageError("--n-max needs a single suite, not all")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     reports = []
     for name in names:
-        reports.append(run_suite(name, n_max=args.n_max, jobs=args.jobs))
+        reports.append(run_suite(name, n_max=args.n_max))
     doc = {"suites": reports, "ok": all(r["ok"] for r in reports)}
     lines = [
         f"{r['suite']}: {'PASS' if r['ok'] else 'FAIL'}" for r in reports
@@ -241,7 +247,7 @@ def _build_parser() -> _Parser:
         s.add_argument(
             "--allow-large", action="store_true", help=f"lift the n<={UNRESTRICTED_ORDER_CAP} guard"
         )
-        s.add_argument("--budget", type=float, help="search budget, seconds")
+        s.add_argument("--budget", type=_budget, help="search budget, seconds")
         s.set_defaults(run=_cmd_oracle)
     modes.choices["exa"].add_argument("--k", type=int, required=True, help="copy count")
     modes.choices["set"].add_argument(
@@ -281,7 +287,7 @@ def _build_parser() -> _Parser:
         s = modes.add_parser(mode)
         s.add_argument("--n", type=int, required=True)
         s.add_argument("--family", required=True, help="family spec")
-        s.add_argument("--budget", type=float, help="solver budget, seconds")
+        s.add_argument("--budget", type=_budget, help="solver budget, seconds")
         s.set_defaults(run=_cmd_game, solve=solve)
     s = modes.add_parser("sweep")
     s.add_argument("--n", type=int, required=True)
@@ -291,7 +297,6 @@ def _build_parser() -> _Parser:
     v = sub.add_parser("verify", help="named verification suites")
     v.add_argument("--suite", required=True, help="|".join(sorted(SUITES)) + "|all")
     v.add_argument("--n-max", type=int, help="size bound (single sized suites only)")
-    v.add_argument("--jobs", type=int, default=1, help="sweep workers, >= 1")
     v.set_defaults(run=_cmd_verify)
     return p
 

@@ -318,11 +318,11 @@ class _Solver:
         moves = tuple(sorted(slot_pairs(self.n))) if len(self.masks) > 1 else ()
         return GameValue(v, moves, len(self.bounds), True)
 
-    def best_query(self, yes: int, no: int) -> int | None:
+    def best_query(self, state: GameState) -> int | None:
         """Lex-smallest optimal informative slot, None at terminal states."""
-        S = sum(
-            1 << i for i, p in enumerate(self.masks) if p & no == 0 and yes & ~p == 0
-        )
+        live = set(state.survivors())
+        S = sum(1 << i for i, p in enumerate(self.masks) if p in live)
+        yes, no = state.yes_mask(), state.no_mask()
         if not S:
             raise AdversaryError("no consistent placement remains")
         if S & (S - 1) == 0:
@@ -358,7 +358,7 @@ def solver_questioner(n: int, fam: GraphFamily, cost: str = "L", **kw):
     pairs = slot_pairs(n)
 
     def questioner(state: GameState) -> Edge | None:
-        s = solver.best_query(state.yes_mask(), state.no_mask())
+        s = solver.best_query(state)
         return pairs[s] if s is not None else None
 
     return questioner

@@ -1,7 +1,7 @@
 """Labeled simple graphs on at most 32 vertices, stored as per-vertex bitmasks.
 
 Vertices are labels 0..n-1.  Every operation is pure; Graph values are
-immutable and hashable, so they can be shared freely across workers.
+immutable and hashable.
 
 Edge "slots" index the unordered pairs in graph6 bit order: (0,1), (0,2),
 (1,2), (0,3), (1,3), (2,3), ...  Edge-set bitmasks over these slots are the

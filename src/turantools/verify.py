@@ -5,14 +5,11 @@ Every check is one row, `{"check", <params>, "got", "want", "relation",
 `relation` is `==`, `>=` or `<=`, and `holds` is false when either side is
 None.  The params name the point and any computed value `want` is built from.
 
-A suite is a list of cases `(fn, *args)`; each `fn` is a module-level function
-(so it pickles for a worker pool) returning a list of entries.  Entries with a
-`holds` key are rows; the others are report-only notes, kept under `report`
-and never read by `ok`.  Every suite returns `{"suite", "ok", "rows",
-"report"}` with `ok = all(row["holds"])`, as a JSON-stable dict (no wall
-times, no floats).  Cases run in list order or fan out over worker processes;
-results are assembled in case order, so the output is identical for any job
-count.
+A suite is a list of cases `(fn, *args)`, run in list order in this process;
+each `fn` returns a list of entries.  Entries with a `holds` key are rows; the
+others are report-only notes, kept under `report` and never read by `ok`.
+Every suite returns `{"suite", "ok", "rows", "report"}` with
+`ok = all(row["holds"])`, as a JSON-stable dict (no wall times, no floats).
 """
 
 from __future__ import annotations
@@ -83,25 +80,8 @@ def _note(check: str, **fields) -> dict:
     return {"check": check, **fields}
 
 
-def _pmap(fn, items, jobs: int):
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    # loaded only here: concurrent.futures costs every other command its import time
-    from concurrent import futures
-
-    # the pool may start every worker up front, so never more than there are items
-    with futures.ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
-def _run_case(case: tuple) -> list[dict]:
-    fn, *args = case
-    return fn(*args)
-
-
-def _suite(name: str, cases: list[tuple], jobs: int) -> dict:
-    entries = [e for part in _pmap(_run_case, cases, jobs) for e in part]
+def _suite(name: str, cases: list[tuple]) -> dict:
+    entries = [e for fn, *args in cases for e in fn(*args)]
     rows = [e for e in entries if "holds" in e]
     return {
         "suite": name,
@@ -132,7 +112,7 @@ def _klikk_oracle(n: int, r: int) -> list[dict]:
     return [_row("exa1", {"n": n, "r": r}, exa_oracle(n, 1, fam).value, formula)]
 
 
-def suite_klikk(n_max: int = 12, jobs: int = 1) -> dict:
+def suite_klikk(n_max: int = 12) -> dict:
     cases = [
         (_klikk_build, n, r)
         for n in range(3, n_max + 1)
@@ -140,7 +120,7 @@ def suite_klikk(n_max: int = 12, jobs: int = 1) -> dict:
     ]
     cases += [(_klikk_oracle, n, 3) for n in range(3, min(7, n_max) + 1)]
     cases += [(_klikk_oracle, n, 4) for n in range(4, min(6, n_max) + 1)]
-    return _suite("klikk", cases, jobs)
+    return _suite("klikk", cases)
 
 
 # -- suite: triangle -----------------------------------------------------------
@@ -159,7 +139,7 @@ def _triangle_k_fits(n: int, k: int) -> bool:
     return n >= k + 2 and k <= (n - 1) - (n - 1) // 2
 
 
-def suite_triangle(n_max: int = 12, jobs: int = 1) -> dict:
+def suite_triangle(n_max: int = 12) -> dict:
     cases = [
         (_triangle_build, n, k)
         for n in range(3, n_max + 1)
@@ -172,7 +152,7 @@ def suite_triangle(n_max: int = 12, jobs: int = 1) -> dict:
         for k in range(1, 4)
         if _triangle_k_fits(n, k)
     ]
-    doc = _suite("triangle", cases, jobs)
+    doc = _suite("triangle", cases)
     oracle = [r for r in doc["rows"] if r["check"] == "exa_k"]
     doc["report"].append(
         _note("formula_equality", everywhere=all(r["got"] == r["want"] for r in oracle))
@@ -208,13 +188,13 @@ def _brouwer(n: int) -> list[dict]:
     return _classic("brouwer", {"n": n}, got, (n - 1) ** 2 // 4 + 1)
 
 
-def suite_classics(n_max: int = 8, jobs: int = 1) -> dict:
+def suite_classics(n_max: int = 8) -> dict:
     cases = [(_hetyei, 4), (_hetyei, 6), (_sheehan, 4), (_sheehan, 6)]
     cases += [
         (_turan, n, r) for n in range(2, n_max + 1) for r in range(1, min(n, 4) + 1)
     ]
     cases += [(_brouwer, n) for n in range(5, n_max + 1)]
-    return _suite("classics", cases, jobs)
+    return _suite("classics", cases)
 
 
 # -- suite: sandwich -----------------------------------------------------------
@@ -286,7 +266,7 @@ def _star_point(n: int, k: int) -> list[dict]:
     ]
 
 
-def suite_sandwich(jobs: int = 1) -> dict:
+def suite_sandwich() -> dict:
     cases = [
         (_sandwich_point, name, n, k)
         for name in ("K3", "C4", "C5")
@@ -300,7 +280,7 @@ def suite_sandwich(jobs: int = 1) -> dict:
         for n in range(_SANDWICH_PATTERNS[name].n, 8)
     ]
     cases += [(_star_point, n, k) for n in (5, 6) for k in (2, 4)]
-    return _suite("sandwich", cases, jobs)
+    return _suite("sandwich", cases)
 
 
 # -- suite: kab ----------------------------------------------------------------
@@ -331,7 +311,7 @@ def _kab_build(a: int, b: int) -> list[dict]:
     return _build_rows({"a": a, "b": b}, build_unique_kab(a, b, witness))
 
 
-def suite_kab(jobs: int = 1) -> dict:
+def suite_kab() -> dict:
     cases = [
         (_worked_example, 6, 53, PartitionPair((3, 3), (13, 13, 13, 13, 1)), True),
         (_worked_example, 6, 53, PartitionPair((3, 3), (50, 3)), False),
@@ -343,7 +323,7 @@ def suite_kab(jobs: int = 1) -> dict:
     pairs = [(a, b) for a in range(1, 7) for b in range(a, 7) if a + b <= 7]
     cases += [(_kab_oracle, a, b) for a, b in pairs]
     cases += [(_kab_build, a, b) for a, b in pairs]
-    return _suite("kab", cases, jobs)
+    return _suite("kab", cases)
 
 
 # -- suite: mup-series -----------------------------------------------------------
@@ -376,8 +356,8 @@ def _mup_series(c: int, n_max: int) -> list[dict]:
     return entries
 
 
-def suite_mup_series(n_max: int = 40, jobs: int = 1) -> dict:
-    return _suite("mup-series", [(_mup_series, c, n_max) for c in range(1, 5)], jobs)
+def suite_mup_series(n_max: int = 40) -> dict:
+    return _suite("mup-series", [(_mup_series, c, n_max) for c in range(1, 5)])
 
 
 # -- suite: games ----------------------------------------------------------------
@@ -464,10 +444,10 @@ def _extremal_questioner() -> list[dict]:
     ]
 
 
-def suite_games(jobs: int = 1) -> dict:
+def suite_games() -> dict:
     cases = [(_game_instance, n, spec, wants) for n, spec, wants in _GAME_VALUES]
     cases += [(_family_gap, 4), (_family_gap, 5), (_extremal_questioner,)]
-    return _suite("games", cases, jobs)
+    return _suite("games", cases)
 
 
 # -- suite: zeta ----------------------------------------------------------------
@@ -486,10 +466,10 @@ def _zeta_min_degree(f: Graph) -> list[dict]:
     return [_row("zeta_min_degree", params, zeta(f), f.min_degree() - 1, ">=")]
 
 
-def suite_zeta(jobs: int = 1) -> dict:
+def suite_zeta() -> dict:
     cases = [(_zeta_clique, r) for r in (3, 4, 5)] + [(_zeta_path, 3)]
     cases += [(_zeta_min_degree, f) for f in all_pattern_classes(5)]
-    return _suite("zeta", cases, jobs)
+    return _suite("zeta", cases)
 
 
 SUITES = {
@@ -508,11 +488,11 @@ SUITES = {
 SIZED_SUITES = ("klikk", "triangle", "classics", "mup-series")
 
 
-def run_suite(name: str, n_max: int | None = None, jobs: int = 1) -> dict:
+def run_suite(name: str, n_max: int | None = None) -> dict:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick from {sorted(SUITES)}")
     if n_max is None:
-        return SUITES[name](jobs=jobs)
+        return SUITES[name]()
     if name not in SIZED_SUITES:
         raise ValueError(f"suite {name!r} takes no n_max; sized suites: {SIZED_SUITES}")
-    return SUITES[name](n_max=n_max, jobs=jobs)
+    return SUITES[name](n_max=n_max)

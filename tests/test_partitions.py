@@ -32,7 +32,7 @@ def test_partition_pair_canonical_and_validated():
     pp = PartitionPair((1, 3, 2), (2,))
     assert pp.parts_a == (3, 2, 1) and pp.parts_b == (2,)
     assert PartitionPair([2], (1, 4)) == PartitionPair((2,), (4, 1))
-    # verify's worker pool pickles its cases
+    # unpickling goes through the subclass's own __new__, which must accept its fields
     back = pickle.loads(pickle.dumps(pp))
     assert back == pp and type(back) is PartitionPair and str(back) == "3,2,1/2"
     for parts_a, parts_b, message in (
