@@ -15,8 +15,8 @@ candidate host vertices as one bitset, already cut to vertices of large
 enough degree, unused, adjacent to the images of the placed pattern
 neighbours and above the images the conditions name, and the last step adds
 that bitset's popcount.  `count_copies`, `automorphism_count` and
-`are_isomorphic` all use it; `copy_maps` walks the same candidates and
-yields each copy's map instead of counting it.
+`are_isomorphic` all use it, and so does `copy_maps`, whose last step lists
+each copy's map instead of counting it.
 
 The labeled copies of a pattern inside K_n, and the isomorphism classes of
 small patterns, are orbits of edge-slot masks under the relabelings of the
@@ -73,7 +73,7 @@ class _Plan(NamedTuple):
     aut: int
 
 
-def _walk(adj, fits, earlier, above) -> int:
+def _walk(adj, fits, earlier, above, last_step=int.bit_count, bits=None) -> int:
     """Injective maps of a pattern into the host rows `adj` that send edges
     to edges, with step k's image in the bitset `fits[k]` and above the
     images of the steps in `above[k]`; `earlier` and `above` as in `_Plan`.
@@ -82,11 +82,13 @@ def _walk(adj, fits, earlier, above) -> int:
     vertices, ANDed with the host rows of the images of its earlier pattern
     neighbours (Ullmann's candidate refinement) and with -(bit << 1), the
     vertices above the image bit, of each step in `above[k]`.  The walk visits
-    only the set bits, and at the last step it adds the popcount instead of
-    recursing.
+    only the set bits, storing step j's image, as one bit, in `bits[j]`; at
+    the last step it adds `last_step` of the candidate bitset instead of
+    recursing: by default its popcount, so the walk counts the maps.
     """
     rows = [0] * len(fits)  # rows[j] = host row of the image of step j
-    bits = [0] * len(fits)  # bits[j] = the image of step j, as one bit
+    if bits is None:
+        bits = [0] * len(fits)
     last = len(fits) - 1
 
     def extend(k: int, used: int) -> int:
@@ -96,7 +98,7 @@ def _walk(adj, fits, earlier, above) -> int:
         for j in above[k]:
             cand &= -(bits[j] << 1)
         if k == last:
-            return cand.bit_count()
+            return last_step(cand)
         total = 0
         while cand:
             bit = cand & -cand
@@ -193,38 +195,29 @@ def _copies(host: Graph, f: Graph) -> int:
     return _walk(host.adj, _fits(host, plan.degree), plan.earlier, plan.above)
 
 
-def copy_maps(host: Graph, f: Graph):
+def copy_maps(host: Graph, f: Graph) -> list[tuple[int, ...]]:
     """Each copy of f (no isolated vertices) in host once, as its map in f's
     vertex order: the image of vertex v, as one bit, at position v.
 
-    The same candidate bitsets as `_walk` under f's plan, but the last step
-    walks its set bits too and yields each map instead of adding a popcount.
+    The counting walk under f's plan, whose last step lists a map for each
+    set bit of its candidate bitset instead of adding their popcount.
     """
+    if not f.n:
+        return [()]
     plan = _plan(f)
-    fits = _fits(host, plan.degree)
-    adj, order, earlier = host.adj, plan.order, plan.earlier
-    above = [[order[j] for j in steps] for steps in plan.above]  # as vertices
-    image = [0] * f.n  # image[v] = the image of vertex v, as one bit
-    rows = [0] * f.n  # rows[k] = host row of the image of step k
-    last = f.n - 1
+    step = sorted(range(f.n), key=plan.order.__getitem__)  # step[v] places v
+    bits = [0] * f.n
+    maps: list[tuple[int, ...]] = []
 
-    def extend(k: int, used: int):
-        cand = fits[k] & ~used
-        for j in earlier[k]:
-            cand &= rows[j]
-        for v in above[k]:
-            cand &= -(image[v] << 1)
+    def expand(cand: int) -> int:
         while cand:
-            bit = cand & -cand
-            image[order[k]] = bit
-            if k == last:
-                yield tuple(image)
-            else:
-                rows[k] = adj[bit.bit_length() - 1]
-                yield from extend(k + 1, used | bit)
-            cand ^= bit
+            bits[-1] = cand & -cand
+            maps.append(tuple([bits[k] for k in step]))
+            cand &= cand - 1
+        return 0
 
-    yield from extend(0, 0) if fits else [()]
+    _walk(host.adj, _fits(host, plan.degree), plan.earlier, plan.above, expand, bits)
+    return maps
 
 
 def count_copies(host: Graph, pattern: Graph) -> int:
@@ -257,7 +250,6 @@ def distinct_patterns(graphs) -> tuple[Graph, ...]:
     return stripped
 
 
-@lru_cache(maxsize=None)
 def labeled_copies(n: int, pattern: Graph) -> tuple[int, ...]:
     """All copies of pattern inside K_n, as edge-slot masks, ascending.
 
@@ -265,9 +257,13 @@ def labeled_copies(n: int, pattern: Graph) -> tuple[int, ...]:
     pattern, so for any graph G on n vertices the number of masks contained
     in G's edge mask equals count_copies(G, pattern).  The copies are the
     orbit of the pattern's own mask (its vertices 0..f.n-1 keep their slots
-    in K_n) under the relabelings of K_n.
+    in K_n) under the relabelings of K_n, cached on the stripped pattern.
     """
-    f = strip_isolated(pattern)
+    return _copy_orbit(n, strip_isolated(pattern))
+
+
+@lru_cache(maxsize=None)
+def _copy_orbit(n: int, f: Graph) -> tuple[int, ...]:
     if f.n > n:
         return ()
     return tuple(sorted(slot_orbit(n, f.edge_mask())))

@@ -18,7 +18,7 @@ meets (see `_Solver`).  It tries one pair per orbit of the relabelings that
 fix every asked pair: such a relabeling maps the survivors to themselves, so
 all pairs of one orbit have the same move value.  `budget=` seconds bound a
 solve; when they run out, the result is incomplete with value None, as when
-the state cap is reached.
+`STATE_CAP` states are stored.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from turantools.graphs import (
 from turantools.oracle import exa_oracle, exa_prime_oracle
 
 SOLVER_ORDER_CAP = 7
-DEFAULT_STATE_CAP = 5_000_000
+# stored states per solve, past which it reports incomplete
+STATE_CAP = 5_000_000
 # new states between deadline polls
 POLL_EVERY = 4096
 
@@ -201,7 +202,6 @@ class _Solver:
         n: int,
         fam: GraphFamily,
         cost: str,
-        state_cap: int = DEFAULT_STATE_CAP,
         budget: float | None = None,
         clock=time.monotonic,
     ):
@@ -215,7 +215,6 @@ class _Solver:
         self.masks = fam.placements(n)
         if not self.masks:
             raise ValueError("family has no placements at this order")
-        self.state_cap = state_cap
         self.clock = clock
         self.deadline = clock() + budget if budget is not None else None
         # a YES costs one query in L; in x, and in g = x' + |YES|, it is free
@@ -264,8 +263,8 @@ class _Solver:
             return False
         entry = self.bounds.get(S)
         if entry is None:
-            if len(self.bounds) >= self.state_cap:
-                raise UnsolvedError(f"state ceiling {self.state_cap} reached")
+            if len(self.bounds) >= STATE_CAP:
+                raise UnsolvedError(f"state ceiling {STATE_CAP} reached")
             lo, hi = floor, None
         else:
             lo, hi = entry
@@ -383,12 +382,22 @@ class Transcript(NamedTuple):
         return self.total - self.yes_count
 
 
+def _identified(state: GameState) -> int:
+    """The placement the questioner claims by stopping: the one survivor,
+    else ValueError."""
+    cons = state.survivors()
+    if len(cons) != 1:
+        raise ValueError(f"questioner stopped with {len(cons)} consistent placements")
+    return cons[0]
+
+
 def simulate(n: int, fam: GraphFamily, questioner, adversary) -> Transcript:
     """Play questioner vs adversary; validate consistency at every step.
 
     The questioner returns the next unasked pair or None to claim
     identification; the adversary returns True for YES.  Raises
-    AdversaryError if an answer leaves no consistent placement.
+    AdversaryError if an answer leaves no consistent placement, and
+    ValueError if the questioner stops with other than one.
     """
     state = GameState(n, fam)
     record: list[tuple[Edge, bool]] = []
@@ -402,15 +411,7 @@ def simulate(n: int, fam: GraphFamily, questioner, adversary) -> Transcript:
         if not state.survivors():
             raise AdversaryError(f"answer {ans} on {q} left no consistent placement")
         record.append((q, ans))
-    cons = state.survivors()
-    if len(cons) != 1:
-        raise ValueError(
-            f"questioner stopped with {len(cons)} consistent placements"
-        )
-    final = cons[0]
-    if state.yes_mask() & ~final:
-        raise AdversaryError("YES answers are not a subset of the final placement")
-    return Transcript(tuple(record), graph_from_mask(n, final).edges())
+    return Transcript(tuple(record), graph_from_mask(n, _identified(state)).edges())
 
 
 def questioner_extremal_strategy(n: int, pattern: Graph, g_ext: Graph):
@@ -454,29 +455,19 @@ def questioner_extremal_strategy(n: int, pattern: Graph, g_ext: Graph):
 
 
 def strategy_worst_case(n: int, fam: GraphFamily, questioner) -> int:
-    """Max total queries of a deterministic questioner over all valid adversaries."""
-    memo: dict[tuple[int, int], int] = {}
+    """Max total queries of a deterministic questioner over all valid adversaries.
+
+    Two nodes of the questioner's decision tree differ in the answer at their
+    last common query, so no state repeats and the walk keeps no memo.
+    """
 
     def walk(state: GameState) -> int:
-        key = (state.yes_mask(), state.no_mask())
-        if key in memo:
-            return memo[key]
         q = questioner(state)
         if q is None:
-            if len(state.survivors()) != 1:
-                raise ValueError("questioner stopped before identification")
-            memo[key] = 0
+            _identified(state)
             return 0
-        best = None
-        for ans in (False, True):
-            nxt = state.answer(q, ans)
-            if nxt.survivors():
-                v = 1 + walk(nxt)
-                if best is None or v > best:
-                    best = v
-        assert best is not None
-        memo[key] = best
-        return best
+        children = (state.answer(q, False), state.answer(q, True))
+        return 1 + max(walk(c) for c in children if c.survivors())
 
     return walk(GameState(n, fam))
 

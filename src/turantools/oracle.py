@@ -241,9 +241,10 @@ def zeta(f: Graph) -> int:
     every other copy uses w, and its edges at w go to A.  So with T = f plus
     w joined to all of V(f), the copies of f in h_A other than f are the
     copies in T through w whose w-neighbourhood (the images of the pattern
-    neighbours of the vertex sent to w) lies inside A.  One conditioned walk
-    of f into T (`copy_maps`) finds these blocked sets, and z is the largest
-    |A| that contains none of them.
+    neighbours of the vertex sent to w) lies inside A.  The counting walk of
+    f into T, listing each copy's map instead of counting it (`copy_maps`),
+    finds these blocked sets, and z is the largest |A| that contains none of
+    them.
     """
     f = strip_isolated(f)
     if f.edge_count() == 0:

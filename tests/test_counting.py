@@ -9,6 +9,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from _reference import count_copies_bruteforce, count_embeddings, to_networkx
 
+from turantools import counting
 from turantools.counting import (
     _fits,
     _plan,
@@ -20,6 +21,7 @@ from turantools.counting import (
     count_copies,
     count_family,
     labeled_copies,
+    orbit_firsts,
     strip_isolated,
 )
 from turantools.families import GraphFamily, tree_classes
@@ -36,6 +38,7 @@ from turantools.graphs import (
     matching_graph,
     pair_count,
     path_graph,
+    slot_orbit,
     star_graph,
 )
 
@@ -195,6 +198,23 @@ def test_orbit_size_times_automorphisms_is_n_factorial():
 
 def test_labeled_copies_empty_pattern():
     assert labeled_copies(4, empty_graph(3)) == (0,)
+
+
+def test_each_class_orbit_is_built_once(monkeypatch):
+    # orbit_firsts covers K2, P3 and K3 under graphs on 4 vertices, the
+    # placements look them up stripped: one cache entry serves both
+    built = []
+
+    def counted_orbit(n, mask):
+        built.append(mask)
+        return slot_orbit(n, mask)
+
+    monkeypatch.setattr(counting, "slot_orbit", counted_orbit)
+    counting._copy_orbit.cache_clear()
+    classes = [strip_isolated(g) for g in orbit_firsts(4, range(1, 1 << pair_count(4)))]
+    for f in classes:
+        labeled_copies(4, f)
+    assert len(classes) == len(built) == 10
 
 
 def test_are_isomorphic():

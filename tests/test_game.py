@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from _reference import matching_first_questioner
-from turantools import cli
+from turantools import cli, game
 from turantools.constructions import build_klikk
 from turantools.counting import all_pattern_classes
 from turantools.errors import AdversaryError
@@ -93,6 +93,23 @@ def test_bad_pairs_raise_value_error(play, query):
     # the adversary's state has (0, 1) asked already
     with pytest.raises(ValueError, match="already asked|not a pair"):
         play(query)
+
+
+@pytest.mark.parametrize(
+    "play",
+    [
+        lambda q: simulate(4, K3, q, adversary_no_first),
+        lambda q: strategy_worst_case(4, K3, q),
+    ],
+    ids=["simulate", "strategy_worst_case"],
+)
+def test_stopping_before_one_survivor_raises_value_error(play):
+    # either answer on (0, 1) leaves two of the four triangles of K_4
+    def questioner(state):
+        return None if state.asked() else (0, 1)
+
+    with pytest.raises(ValueError, match="stopped with 2 consistent placements"):
+        play(questioner)
 
 
 def test_solver_values_stars():
@@ -189,8 +206,9 @@ def test_a_deadline_has_passed_when_the_clock_reaches_it():
     assert not res.complete and res.value is None and res.states_explored == 0
 
 
-def test_state_ceiling_reports_unsolved():
-    res = solve_L(5, TREES, state_cap=10)
+def test_state_ceiling_reports_unsolved(monkeypatch):
+    monkeypatch.setattr(game, "STATE_CAP", 10)
+    res = solve_L(5, TREES)
     assert not res.complete and res.value is None
 
 
