@@ -51,7 +51,6 @@ from turantools.partitions import (
 from turantools.game import (
     GameState,
     GameValue,
-    placements,
     consistent_placements,
     adversary_no_first,
     solve_L,

@@ -47,7 +47,7 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from turantools.graphs import pair_count, slot_index, slot_pairs
+from turantools.graphs import pair_count, transposition_swaps
 
 # search nodes, and placements while the bitsets are built, between deadline checks
 POLL_EVERY = 1 << 16
@@ -119,20 +119,20 @@ def branch_and_bound(
     mins = [(c, lo) for c, _, _, lo in checks if lo > 0]
     alive0 = (1 << bit) - 1
 
-    # later[s]: (bit of tau, bit of the earlier slot) for each pair whose later slot is s
-    later = [()] * m_slots
+    # later[s]: (bit of tau, bit of the earlier slot) for each pair whose later
+    # slot is s; tau = (k k+1) moves a `far` slot k slots on and a `near` one 1
+    later = [[] for _ in range(m_slots)]
     tied0 = 0
     if relabel_order is not None:
         n = relabel_order
         if m_slots != pair_count(n):
             raise ValueError(f"{m_slots} slots are not the pairs of {n} vertices")
-        index = slot_index(n)
-        for s, (u, v) in enumerate(slot_pairs(n)):
-            later[s] = tuple(
-                (1 << k, 1 << index[a, b])
-                for k, a, b in ((u - 1, u - 1, v), (v - 1, u, v - 1))
-                if 0 <= k and a < b
-            )
+        for far, k, near in transposition_swaps(n):
+            for earlier, step in ((far, k), (near, 1)):
+                while earlier:
+                    a = earlier & -earlier
+                    later[(a << step).bit_length() - 1].append((1 << k, a))
+                    earlier ^= a
         tied0 = (1 << max(n - 1, 0)) - 1
 
     nodes = 0

@@ -20,7 +20,7 @@ from turantools.constructions import (
 from turantools.counting import count_copies, count_family
 from turantools.errors import AdversaryError, UnsolvedError
 from turantools.families import parse_family
-from turantools.game import solve_L, solve_x, solve_x_prime, sweep_patterns
+from turantools.game import solve_L, solve_x, solve_x_prime
 from turantools.graphs import decode_graph6
 from turantools.oracle import (
     UNRESTRICTED_ORDER_CAP,
@@ -36,7 +36,7 @@ from turantools.partitions import (
     mup,
     mup_series_check,
 )
-from turantools.verify import SUITES, run_suite
+from turantools.verify import SUITES, run_suite, sweep_patterns
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -197,33 +197,32 @@ def _cmd_game(args) -> int:
     return EXIT_OK if res.complete else EXIT_UNSOLVED
 
 
+def _verdict(doc: dict, as_json: bool, lines: list[str]) -> int:
+    """Emit a suite document, or verify's list of them, ending with its `ok`;
+    exit 3 unless it holds."""
+    _emit(doc, as_json, lines + [f"ok = {doc['ok']}"])
+    return EXIT_OK if doc["ok"] else EXIT_VERIFY_FAILED
+
+
 def _cmd_sweep(args) -> int:
-    rep = sweep_patterns(args.n, args.max_pattern_order)
+    doc = sweep_patterns(args.n, args.max_pattern_order)
+    rows = doc["rows"]  # chain_x, prime_bound for each pattern
     lines = [
-        f"{r['pattern_graph6']}: x={r['x']} gap_x={r['gap_x']} "
-        f"xprime={r['xprime']} gap_xprime={r['gap_xprime']}"
-        for r in rep["rows"]
+        f"{x['pattern_graph6']}: x={x['got']} floor_x={x['want']} "
+        f"xprime={xp['got']} floor_xprime={xp['want']}"
+        for x, xp in zip(rows[::2], rows[1::2])
     ]
-    lines.append(f"strict_gap_x_found = {rep['strict_gap_x_found']}")
-    lines.append(f"strict_gap_xprime_found = {rep['strict_gap_xprime_found']}")
-    _emit(rep, args.json, lines)
-    return EXIT_OK
+    return _verdict(doc, args.json, lines)
 
 
 def _cmd_verify(args) -> int:
     if args.suite == "all" and args.n_max is not None:
         raise _UsageError("--n-max needs a single suite, not all")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    reports = []
-    for name in names:
-        reports.append(run_suite(name, n_max=args.n_max))
+    reports = [run_suite(name, n_max=args.n_max) for name in names]
     doc = {"suites": reports, "ok": all(r["ok"] for r in reports)}
-    lines = [
-        f"{r['suite']}: {'PASS' if r['ok'] else 'FAIL'}" for r in reports
-    ]
-    lines.append("ok = " + str(doc["ok"]))
-    _emit(doc, args.json, lines)
-    return EXIT_OK if doc["ok"] else EXIT_VERIFY_FAILED
+    lines = [f"{r['suite']}: {'PASS' if r['ok'] else 'FAIL'}" for r in reports]
+    return _verdict(doc, args.json, lines)
 
 
 def _build_parser() -> _Parser:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from turantools.counting import all_pattern_classes, count_copies
+from turantools.counting import count_copies
 from turantools.errors import AdversaryError, UnsolvedError
 from turantools.families import GraphFamily
 from turantools.graphs import (
@@ -34,14 +34,12 @@ from turantools.graphs import (
     Graph,
     check_order,
     complement,
-    encode_graph6,
     graph_from_mask,
     mask_from_edges,
     pair_count,
     slot_index,
     slot_pairs,
 )
-from turantools.oracle import exa_oracle, exa_prime_oracle
 
 SOLVER_ORDER_CAP = 7
 # stored states per solve, past which it reports incomplete
@@ -112,11 +110,6 @@ class GameValue(NamedTuple):
             "states_explored": self.states_explored,
             "complete": self.complete,
         }
-
-
-def placements(n: int, fam: GraphFamily) -> list[tuple[Edge, ...]]:
-    """All labeled copies of family members on 0..n-1, as sorted edge tuples."""
-    return sorted(graph_from_mask(n, p).edges() for p in fam.placements(n))
 
 
 def consistent_placements(state: GameState) -> list[tuple[Edge, ...]]:
@@ -471,52 +464,3 @@ def strategy_worst_case(n: int, fam: GraphFamily, questioner) -> int:
 
     return walk(GameState(n, fam))
 
-
-def sweep_patterns(n: int, max_pattern_order: int = 4) -> dict:
-    """Gap survey over all single-pattern families with small patterns.
-
-    For every pattern class F with at most max_pattern_order vertices,
-    reports x(n,F) against C(n,2) - exa_1(n,F) and x'(n,F) against
-    C(n,2) - exa'_1(n,F); findings only, nothing asserted.
-    """
-    check_order(n)
-    total_pairs = pair_count(n)
-    rows = []
-    for f in all_pattern_classes(max_pattern_order):
-        if f.n > n:
-            continue
-        fam = GraphFamily.explicit((f,), label=f"pattern:{encode_graph6(f)}")
-        # the games first: the solver's order cap is below the oracles' guard
-        xv = solve_x(n, fam)
-        xpv = solve_x_prime(n, fam)
-        exa1 = exa_oracle(n, 1, fam)
-        exap = exa_prime_oracle(n, fam)
-        gap_x = (
-            xv.value - (total_pairs - exa1.value)
-            if exa1.value is not None and xv.value is not None
-            else None
-        )
-        gap_xp = (
-            xpv.value - (total_pairs - exap.value)
-            if exap.value is not None and xpv.value is not None
-            else None
-        )
-        rows.append(
-            {
-                "pattern_graph6": encode_graph6(f),
-                "pattern_edges": f.edge_count(),
-                "exa1": exa1.value,
-                "x": xv.value,
-                "gap_x": gap_x,
-                "exa_prime1": exap.value,
-                "xprime": xpv.value,
-                "gap_xprime": gap_xp,
-            }
-        )
-    return {
-        "n": n,
-        "max_pattern_order": max_pattern_order,
-        "rows": rows,
-        "strict_gap_x_found": any(r["gap_x"] not in (0, None) for r in rows),
-        "strict_gap_xprime_found": any(r["gap_xprime"] not in (0, None) for r in rows),
-    }

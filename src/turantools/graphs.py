@@ -32,7 +32,7 @@ def slot_index(n: int) -> dict[Edge, int]:
 
 
 @lru_cache(maxsize=None)
-def _transposition_swaps(n: int) -> tuple[tuple[int, int, int], ...]:
+def transposition_swaps(n: int) -> tuple[tuple[int, int, int], ...]:
     """(far, k, near) delta-swap masks of each adjacent transposition (k k+1).
 
     It exchanges slot {x,k} with {x,k+1}, k slots later, for x < k (`far`
@@ -50,7 +50,7 @@ def slot_orbit(n: int, mask: int) -> set[int]:
     """Orbit of an edge-slot mask under relabeling the n vertices: a closure
     under the adjacent transpositions, which generate S_n, each applied as two
     masked delta swaps (Knuth, TAOCP 4A 7.1.3)."""
-    gens = _transposition_swaps(n)
+    gens = transposition_swaps(n)
     orbit = {mask}
     todo = [mask]
     while todo:

@@ -89,6 +89,12 @@ def _subset_sums(parts: tuple[int, ...]) -> int:
     return sums
 
 
+def _forbidden(parts: tuple[int, ...], a_sum: int, b_sum: int) -> int:
+    """The sums the other side's sub-multisets must miss, as a bitset: every
+    sub-multiset sum of parts but 0, and but A when A = B (the swap)."""
+    return _subset_sums(parts) & ~(1 | (a_sum == b_sum) << a_sum)
+
+
 def is_unique_partition(a_sum: int, b_sum: int, pp: PartitionPair) -> bool:
     """Exactly one side-assignment of the combined parts reaches (A, B).
 
@@ -103,8 +109,7 @@ def is_unique_partition(a_sum: int, b_sum: int, pp: PartitionPair) -> bool:
         )
     if set(pp.parts_a) & set(pp.parts_b):
         return False
-    shared = 1 | (a_sum == b_sum) << a_sum
-    return not _subset_sums(pp.parts_a) & _subset_sums(pp.parts_b) & ~shared
+    return not _forbidden(pp.parts_a, a_sum, b_sum) & _subset_sums(pp.parts_b)
 
 
 def _partitions_into(n: int, k: int, max_part: int, forbidden: int = 0):
@@ -178,11 +183,10 @@ def mup(a_sum: int, b_sum: int) -> MupResult:
     small, big = (b_sum, a_sum) if swap else (a_sum, b_sum)
     # A shared part value is a shared sum, hence forbidden, save for (A)/(B)
     # when A = B; that pair never wins, (1,...,1)/(B) has total A + 1.
-    shared = 1 | (a_sum == b_sum) << a_sum
     sides = []  # the smaller side's partitions: (parts, forbidden, reach)
     for k in range(1, small + 1):
         for ps in _partitions_into(small, k, small):
-            forbidden = _subset_sums(ps) & ~shared
+            forbidden = _forbidden(ps, a_sum, b_sum)
             sides.append((ps, forbidden, k + _most_parts(big, big, forbidden)))
     value = max(reach for _, _, reach in sides)
     pa, pb = min(

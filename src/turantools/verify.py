@@ -10,6 +10,8 @@ each `fn` returns a list of entries.  Entries with a `holds` key are rows; the
 others are report-only notes, kept under `report` and never read by `ok`.
 Every suite returns `{"suite", "ok", "rows", "report"}` with
 `ok = all(row["holds"])`, as a JSON-stable dict (no wall times, no floats).
+`sweep_patterns`, behind `game sweep`, is one more such suite, sized by its
+arguments rather than named in SUITES.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from turantools.game import (
 )
 from turantools.graphs import (
     Graph,
+    check_order,
     complete_graph,
     cycle_graph,
     encode_graph6,
@@ -373,17 +376,28 @@ _GAME_VALUES = (
 )
 
 
+def _floors(n: int, fam: GraphFamily) -> tuple:
+    """exa_1(n,F), C(n,2) - exa_1, exa'_1(n,F) and C(n,2) - exa'_1: the
+    paper's floors under x and x'.  A floor is None when no graph qualifies."""
+    exa1 = exa_oracle(n, 1, fam).value
+    exap = exa_prime_oracle(n, fam).value
+    total = comb(n, 2)
+    return (
+        exa1,
+        None if exa1 is None else total - exa1,
+        exap,
+        None if exap is None else total - exap,
+    )
+
+
 def _game_instance(n: int, spec: str, wants: dict) -> list[dict]:
     fam = GraphFamily(spec)
-    total = comb(n, 2)
     got = {
         "L": solve_L(n, fam).value,
         "x": solve_x(n, fam).value,
         "xprime": solve_x_prime(n, fam).value,
     }
-    exa1 = exa_oracle(n, 1, fam).value
-    exap = exa_prime_oracle(n, fam).value
-    floor = None if exa1 is None else total - exa1
+    exa1, floor, exap, floor_prime = _floors(n, fam)
     params = {"n": n, "family": spec}
     rows = [
         _row("value_" + q, params, got[q], floor if want == "pairs-exa1" else want)
@@ -395,11 +409,7 @@ def _game_instance(n: int, spec: str, wants: dict) -> list[dict]:
         _row("chain_L", params, got["L"], got["x"], ">="),
         _row("chain_xprime", params, got["xprime"], got["L"], ">="),
         _row(
-            "prime_bound",
-            {**params, "exa_prime1": exap},
-            got["xprime"],
-            None if exap is None else total - exap,
-            ">=",
+            "prime_bound", {**params, "exa_prime1": exap}, got["xprime"], floor_prime, ">="
         ),
     ]
     e_uniform = fam.uniform_edge_count(n)
@@ -448,6 +458,32 @@ def suite_games() -> dict:
     cases = [(_game_instance, n, spec, wants) for n, spec, wants in _GAME_VALUES]
     cases += [(_family_gap, 4), (_family_gap, 5), (_extremal_questioner,)]
     return _suite("games", cases)
+
+
+# -- sweep: the games' floors over every small pattern -------------------------
+
+
+def _sweep_pattern(n: int, f: Graph) -> list[dict]:
+    g6 = encode_graph6(f)
+    fam = GraphFamily.explicit((f,), label=f"pattern:{g6}")
+    # the games first: the solver's order cap is below the oracles' guard
+    x, xprime = solve_x(n, fam).value, solve_x_prime(n, fam).value
+    exa1, floor, exap, floor_prime = _floors(n, fam)
+    params = {"n": n, "pattern_graph6": g6, "pattern_edges": f.edge_count()}
+    return [
+        _row("chain_x", {**params, "exa1": exa1}, x, floor, ">="),
+        _row("prime_bound", {**params, "exa_prime1": exap}, xprime, floor_prime, ">="),
+    ]
+
+
+def sweep_patterns(n: int, max_pattern_order: int = 4) -> dict:
+    """The games suite's `chain_x` and `prime_bound` rows, x(n,F) >= C(n,2) -
+    exa_1(n,F) and x'(n,F) >= C(n,2) - exa'_1(n,F), for every pattern class F
+    with at most max_pattern_order vertices that fits in n; `got - want` is
+    the gap."""
+    check_order(n)
+    classes = all_pattern_classes(max_pattern_order)
+    return _suite("sweep", [(_sweep_pattern, n, f) for f in classes if f.n <= n])
 
 
 # -- suite: zeta ----------------------------------------------------------------

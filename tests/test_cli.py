@@ -104,8 +104,16 @@ def test_game_sweep():
     result = run_cli(
         ["--json", "game", "sweep", "--n", "4", "--max-pattern-order", "3"]
     )
+    assert result.returncode == 0, result.stderr
     doc = json.loads(result.stdout)
-    assert doc["rows"] and "strict_gap_x_found" in doc
+    assert set(doc) == {"suite", "ok", "rows", "report"} and doc["ok"] is True
+    assert [r["check"] for r in doc["rows"]] == ["chain_x", "prime_bound"] * 3
+    text = run_cli(["game", "sweep", "--n", "4", "--max-pattern-order", "3"]).stdout
+    assert text.splitlines() == [
+        f"{x['pattern_graph6']}: x={x['got']} floor_x={x['want']} "
+        f"xprime={p['got']} floor_xprime={p['want']}"
+        for x, p in zip(doc["rows"][::2], doc["rows"][1::2])
+    ] + ["ok = True"]
 
 
 def test_verify_suite_pass():

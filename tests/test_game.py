@@ -18,7 +18,6 @@ from turantools.game import (
     _Solver,
     adversary_no_first,
     consistent_placements,
-    placements,
     questioner_extremal_strategy,
     simulate,
     solve_L,
@@ -26,7 +25,6 @@ from turantools.game import (
     solve_x_prime,
     solver_questioner,
     strategy_worst_case,
-    sweep_patterns,
 )
 from turantools.graphs import complete_graph, encode_graph6, make_graph, slot_pairs
 from turantools.oracle import exa_oracle, exa_prime_oracle
@@ -38,9 +36,9 @@ KMINUS = GraphFamily("kminus")
 
 
 def test_placement_counts():
-    assert len(placements(4, K3)) == 4
-    assert len(placements(4, STAR)) == 4
-    assert len(placements(4, TREES)) == 16
+    assert len(K3.placements(4)) == 4
+    assert len(STAR.placements(4)) == 4
+    assert len(TREES.placements(4)) == 16
 
 
 def test_consistent_placements_fresh():
@@ -454,12 +452,3 @@ def test_slot_orbits_match_a_brute_force_stabilizer():
                 assert [b for b, _ in moves] == [1 << o[0] for o in orbits]
             assert all(c == solver.contains[b.bit_length() - 1] for b, c in moves)
 
-
-def test_sweep_smoke():
-    rep = sweep_patterns(4, max_pattern_order=3)
-    assert rep["rows"]
-    for row in rep["rows"]:
-        if row["gap_x"] is not None:
-            assert row["gap_x"] >= 0
-        if row["gap_xprime"] is not None:
-            assert row["gap_xprime"] >= 0

@@ -36,6 +36,26 @@ def test_no_module_imports_a_private_name_of_another():
     assert [hit for path in modules for hit in _private_imports(path)] == []
 
 
+def _imported_modules(path: Path) -> set[str]:
+    """Every turantools module `path` imports, as its last dotted name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[-1] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module in ("", "turantools"):  # `from turantools import oracle`
+                found |= {alias.name for alias in node.names}
+            else:
+                found.add(module.split(".")[-1])
+    return found
+
+
+def test_the_game_imports_no_oracle_and_no_verify_suite():
+    # the game's floors are checked in verify, which calls the oracles
+    assert not _imported_modules(SRC / "game.py") & {"oracle", "verify"}
+
+
 def _newly_loaded(statement: str, watched: tuple[str, ...]) -> list[str]:
     """Which of `watched` a fresh interpreter loads while running `statement`."""
     code = (
